@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -227,10 +228,18 @@ def cmd_train(args):
         raise NumericalError(f"training aborted: {e}")
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "map.json"), "w") as fh:
-        fh.write(map_doc)
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         fh.write(report.to_json())
+    if report.aborted:
+        cause = ("objective" if not math.isfinite(report.objective_trace[-1])
+                 else "parameter gradient")
+        raise NumericalError(
+            f"training aborted at iteration {report.final_iter} of {tconf.max_iters}: "
+            f"non-finite {cause} ({report.skipped_singular} samples skipped as "
+            f"singular); wrote {out_dir}/report.json, no map"
+        )
+    with open(os.path.join(out_dir, "map.json"), "w") as fh:
+        fh.write(map_doc)
     print(f"wrote {out_dir}/map.json and {out_dir}/report.json")
     return EXIT_OK
 
@@ -285,6 +294,8 @@ def cmd_quantiles(args):
 
 
 def cmd_invert(args):
+    from scipy.special import chdtrc
+
     from . import inference
 
     mp = _load_map(args.map)
@@ -297,12 +308,14 @@ def cmd_invert(args):
         res = inference.rank(mp, theta0)
     except inference.NonConvergence as e:
         raise NumericalError(f"inverse solve did not converge: {e}")
+    x = res.preimage
     doc = {
         "theta0": theta0,
-        "preimage": res.preimage.tolist(),
+        "preimage": x.tolist(),
         "radius": res.radius,
         "rank_level": res.rank_level,
-        "pvalue": inference.bayes_pvalue(mp, theta0),
+        # bayes_pvalue's tail at the preimage rank already solved for
+        "pvalue": float(chdtrc(mp.dim, x @ x)),
     }
     text = json.dumps(doc, indent=2)
     if args.out:

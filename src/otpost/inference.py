@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import chdtr, chdtrc
 from scipy.stats import chi2
 
 from .mixed import MeanFieldGmmMap, SemiDiscreteMap, gmm_push, push_mixed
@@ -132,151 +133,147 @@ def sign_curves(map, n_per_axis: int) -> list[np.ndarray]:
     return curves
 
 
-def inverse(map, z, tol: float = 1e-8, max_steps: int = 1000, fixed_step: float | None = None):
-    """Preimage of z: minimize u(x) - <z, x> by gradient descent.
+def _value(U, gamma):
+    """max_k u_k where gamma is 0, else the logsumexp smoothing at gamma."""
+    f = U.max(axis=1)
+    soft = gamma > 0
+    if soft.any():
+        g, m = gamma[soft], f[soft]
+        f[soft] = m + np.log(np.sum(np.exp(g[:, None] * (U[soft] - m[:, None])), axis=1)) / g
+    return f
 
-    Uses backtracking line search by default; pass ``fixed_step`` for plain
-    gradient descent. Converges when the transport residual ||T(x) - z||
-    drops below tol; otherwise raises NonConvergence with the residual.
+
+def _dot(A, B):
+    return np.einsum("bp,bp->b", A, B)
+
+
+def _newton_steps(H, R):
+    """Rows of H^{-1} R; a zero step where the Hessian is singular."""
+    try:
+        return np.linalg.solve(H, R[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(R) == 1:
+            return np.zeros_like(R)
+        return np.concatenate([_newton_steps(H[i : i + 1], R[i : i + 1]) for i in range(len(R))])
+
+
+def _solve(map, Z, tol=1e-8, max_steps=1000):
+    """Preimages of the rows of Z: each minimizes max_k u_k(x) - <z, x>.
+
+    One iteration, vectorized over the rows still unsolved; solved rows leave
+    the batch. Convergence is judged on the hard residual ||T(x) - z||. Raises
+    NonConvergence with the worst residual of the rows left unsolved.
     """
-    z = np.asarray(z, dtype=float)
-    if isinstance(map, AffineMap):
-        return map.invert(z[None, :])[0]
-    st = map._stack
-
-    def value(x, gamma):
-        u = st.values(x[None, :])[0]
-        if gamma is None:
-            return float(u.max())
-        m = u.max()
-        return float(m + np.log(np.sum(np.exp(gamma * (u - m)))) / gamma)
-
-    def grad(x, gamma):
-        if gamma is None:
-            return _push_hard(map, x[None, :])[0]
-        X = x[None, :]
-        s = st.pre(X)
-        u = st.values(X, s)[0]
-        w = np.exp(gamma * (u - u.max()))
-        return (w / w.sum()) @ st.grads(X, s)[0]
-
-    # Descend the hard potential; if the line search stalls at a kink between
-    # local potentials (the cell subgradient need not be a descent direction
-    # there), switch to the logsumexp smoothing, whose gradient is the
-    # softmax-weighted transport, and sharpen gamma until the hard steps
-    # resume. Convergence is always judged on the hard residual.
-    x = np.zeros(map.dim)
-    gamma = None
-    f = value(x, gamma)
-    step = 1.0
-    for k in range(max_steps):
-        g_hard = _push_hard(map, x[None, :])[0] - z
-        res_hard = float(np.linalg.norm(g_hard))
-        if res_hard <= tol:
-            return x
-        if fixed_step is not None:
-            x = x - fixed_step * g_hard
-            f = value(x, None) - z @ x
-            continue
-        # Newton step on the active cell; the cell Hessian is the exact
-        # second derivative away from kinks and fixes the slow crawl where
-        # saturated units leave the potential nearly flat. Safeguarded by
-        # requiring the hard residual to halve.
-        X1 = x[None, :]
-        s1 = st.pre(X1)
-        k_act = int(np.argmax(st.values(X1, s1)[0]))
-        H = st.hessians(X1, s1)[0, k_act]
-        try:
-            xn = x - np.linalg.solve(H, g_hard)
-            rn = float(np.linalg.norm(_push_hard(map, xn[None, :])[0] - z))
-            if rn <= 0.5 * res_hard:
-                x = xn
-                f = value(x, gamma) - z @ x
-                continue
-        except np.linalg.LinAlgError:
-            pass
-        g = g_hard if gamma is None else grad(x, gamma) - z
-        res = float(np.linalg.norm(g))
-        t = step
-        fx = f
-        while True:
-            xn = x - t * g
-            fn = value(xn, gamma) - z @ xn
-            if fn <= fx - 0.5 * t * res * res or t < 1e-14:
-                break
-            t *= 0.5
-        stalled = t < 1e-14
-        solved_smooth = gamma is not None and res <= max(tol, 0.01 * res_hard)
-        if stalled or solved_smooth:
-            # sharpen monotonically; the hard-residual check at the top of
-            # the loop is the only exit, so there is no hard/smooth cycling
-            gamma = 100.0 if gamma is None else gamma * 10.0
-            if gamma > 1e12:
-                break
-            f = value(x, gamma) - z @ x
-            step = 1.0
-            continue
-        x, f = xn, fn
-        step = min(t * 2.0, 1e6)
-    g = _push_hard(map, x[None, :])[0] - z
-    raise NonConvergence(float(np.linalg.norm(g)), max_steps)
-
-
-def inverse_many(map, Z: np.ndarray, tol: float = 1e-8, max_steps: int = 1000) -> np.ndarray:
-    """Vectorized preimages for a batch of points (same algorithm as inverse)."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if isinstance(map, AffineMap):
         return map.invert(Z)
     st = map._stack
-    B = Z.shape[0]
+    out = np.empty_like(Z)
+    rows = ar = np.arange(Z.shape[0])
     X = np.zeros_like(Z)
+    S = st.pre(X)  # each row's pass at x: pre-activations, local values, grads
+    U = st.values(X, S)
+    G = st.grads(X, S)
+    F = U.max(axis=1)  # objective at x = 0
+    gamma = np.zeros(rows.size)  # 0 while descending the hard potential
+    step = np.ones(rows.size)
+    failed = []
+    for k in range(max_steps + 1):
+        win = U.argmax(axis=1)
+        R = G[ar, win] - Z
+        res = np.linalg.norm(R, axis=1)
+        solved = res <= tol
+        out[rows[solved]] = X[solved]
+        gave_up = gamma > 1e12
+        failed.extend(res[gave_up])
+        keep = ~(solved | gave_up)
+        if not keep.all():
+            rows, X, Z, S, U, G, F, gamma, step, R, res, win = (
+                a[keep] for a in (rows, X, Z, S, U, G, F, gamma, step, R, res, win)
+            )
+            ar = ar[: rows.size]
+        if k == max_steps or not rows.size:
+            failed.extend(res)
+            break
 
-    def values(X):
-        return st.values(X).max(axis=1)
+        # Newton step on the active cell, taken when it halves the hard
+        # residual. The cell Hessian is the exact second derivative away from
+        # kinks and fixes the slow crawl where saturated units leave the
+        # potential nearly flat. Its pass becomes the next iterate's.
+        Xn = X - _newton_steps(st.hessians(X, S)[ar, win], R)
+        Sn = st.pre(Xn)
+        Un = st.values(Xn, Sn)
+        Gn = st.grads(Xn, Sn)
+        newton = np.linalg.norm(Gn[ar, Un.argmax(axis=1)] - Z, axis=1) <= 0.5 * res
+        if newton.all():
+            X, S, U, G = Xn, Sn, Un, Gn
+            F = _value(U, gamma) - _dot(Z, X)
+            continue
+        for A, An in ((X, Xn), (S, Sn), (U, Un), (G, Gn)):
+            A[newton] = An[newton]
+        F[newton] = _value(U[newton], gamma[newton]) - _dot(Z[newton], X[newton])
 
-    F = values(X) - np.einsum("bp,bp->b", Z, X)
-    steps = np.ones(B)
-    active = np.ones(B, dtype=bool)
-    for k in range(max_steps):
-        G = _push_hard(map, X) - Z
-        res = np.linalg.norm(G, axis=1)
-        active &= res > tol
-        if not np.any(active):
-            return X
-        idx = np.where(active)[0]
-        t = steps[idx].copy()
-        fx = F[idx]
-        done = np.zeros(idx.size, dtype=bool)
-        Xn = X[idx].copy()
-        Fn = fx.copy()
-        for _ in range(50):
-            trial = X[idx] - t[:, None] * G[idx]
-            ftrial = values(trial) - np.einsum("bp,bp->b", Z[idx], trial)
-            good = (~done) & (ftrial <= fx - 0.5 * t * res[idx] ** 2)
-            Xn[good] = trial[good]
-            Fn[good] = ftrial[good]
-            done |= good
-            if np.all(done) or np.all(t < 1e-14):
-                break
-            t = np.where(done, t, t * 0.5)
-        X[idx] = Xn
-        F[idx] = Fn
-        steps[idx] = np.minimum(t * 2.0, 1e6)
-    G = _push_hard(map, X) - Z
-    res = np.linalg.norm(G, axis=1)
-    bad = res > tol
-    if np.any(bad):
-        raise NonConvergence(float(res[bad].max()), max_steps)
-    return X
+        # Otherwise Armijo backtracking: on the hard potential, or, once a
+        # row has stalled at a kink between local potentials (where the cell
+        # subgradient need not be a descent direction), on the logsumexp
+        # smoothing, whose gradient is the softmax-weighted transport.
+        j = np.flatnonzero(~newton)
+        Xj, Zj, fx, gj, t, D = X[j], Z[j], F[j], gamma[j], step[j], R[j]
+        soft = gj > 0
+        if soft.any():
+            W = np.exp(gj[soft, None] * (U[j[soft]] - U[j[soft]].max(axis=1, keepdims=True)))
+            W /= W.sum(axis=1, keepdims=True)
+            D[soft] = np.einsum("bl,blp->bp", W, G[j[soft]]) - Zj[soft]
+        d = np.linalg.norm(D, axis=1)
+        Ft = fx.copy()
+        todo = np.arange(j.size)
+        while todo.size:
+            Xi = Xj[todo] - t[todo, None] * D[todo]
+            Fi = _value(st.values(Xi), gj[todo]) - _dot(Zj[todo], Xi)
+            ok = (Fi <= fx[todo] - 0.5 * t[todo] * d[todo] ** 2) | (t[todo] < 1e-14)
+            Ft[todo[ok]] = Fi[ok]
+            t[todo[~ok]] *= 0.5
+            todo = todo[~ok]
+        # A stall, or a solve of the smoothed problem, sharpens the row's
+        # gamma tenfold, starting at 100; the row gives up above 1e12.
+        sharpen = (t < 1e-14) | (soft & (d <= np.maximum(tol, 0.01 * res[j])))
+        mv, m = j[~sharpen], ~sharpen
+        X[mv] = Xj[m] - t[m, None] * D[m]
+        S[mv] = st.pre(X[mv])
+        U[mv] = st.values(X[mv], S[mv])
+        G[mv] = st.grads(X[mv], S[mv])
+        F[mv] = Ft[m]
+        step[mv] = np.minimum(t[m] * 2.0, 1e6)
+        sh = j[sharpen]
+        gamma[sh] = np.where(gamma[sh] > 0, gamma[sh] * 10.0, 100.0)
+        F[sh] = _value(U[sh], gamma[sh]) - _dot(Z[sh], X[sh])
+        step[sh] = 1.0
+    if failed:
+        raise NonConvergence(float(max(failed)), max_steps)
+    return out
+
+
+def inverse(map, z, tol: float = 1e-8, max_steps: int = 1000):
+    """Preimage of z under the hard transport map: the minimizer of the convex
+    max_k u_k(x) - <z, x>, by active-cell Newton steps, Armijo backtracking
+    and, at kinks, a logsumexp homotopy.
+
+    Converges when the transport residual ||T(x) - z|| drops below tol;
+    otherwise raises NonConvergence with the residual. Affine maps are
+    inverted exactly.
+    """
+    return _solve(map, np.asarray(z, dtype=float)[None, :], tol, max_steps)[0]
+
+
+def inverse_many(map, Z: np.ndarray, tol: float = 1e-8, max_steps: int = 1000) -> np.ndarray:
+    """Preimages of the rows of Z, solved together by the iteration of inverse."""
+    return _solve(map, np.atleast_2d(np.asarray(Z, dtype=float)), tol, max_steps)
 
 
 def rank(map, z, tol: float = 1e-8, max_steps: int = 1000) -> RankResult:
     """Center-outward rank of z: chi-square CDF of its squared preimage radius."""
     x = inverse(map, z, tol=tol, max_steps=max_steps)
     r = float(np.linalg.norm(x))
-    return RankResult(
-        preimage=x, radius=r, rank_level=float(chi2.cdf(r * r, df=map.dim))
-    )
+    return RankResult(preimage=x, radius=r, rank_level=float(chdtr(map.dim, r * r)))
 
 
 def simultaneous_ci(map, level: float, N: int, seed: int) -> list[tuple[float, float]]:
@@ -298,7 +295,7 @@ def simultaneous_ci(map, level: float, N: int, seed: int) -> list[tuple[float, f
 def bayes_pvalue(map, theta0, tol: float = 1e-8, max_steps: int = 1000) -> float:
     """Posterior tail probability of theta0's center-outward quantile level."""
     x = inverse(map, np.asarray(theta0, dtype=float), tol=tol, max_steps=max_steps)
-    return float(chi2.sf(x @ x, df=map.dim))
+    return float(chdtrc(map.dim, x @ x))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,11 @@
 """Shared test hooks: surface acceptance-criterion results in the summary."""
 
+from hypothesis import settings
+
+# Fixed examples keep tier-1 runs reproducible; few of them keep them short.
+settings.register_profile("otpost", derandomize=True, deadline=None, max_examples=20)
+settings.load_profile("otpost")
+
 criterion_lines = []
 
 

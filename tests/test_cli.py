@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from otpost.cli import EXIT_CONFIG, EXIT_OK, main
+from otpost.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -56,6 +56,24 @@ def test_train_invalid_json_exits_2(tmp_path, capsys):
         fh.write("{not json")
     assert main(["train", "--config", path]) == EXIT_CONFIG
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_train_aborted_exits_3(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {
+            "target": {"kind": "std_normal", "params": {"dim": 2}},
+            "map": {"family": "maxpot", "L": 1, "M": 4, "seed": 1},
+            "train": {"max_iters": 200, "learning_rate": 1000, "batch_size": 64, "seed": 1},
+            "out_dir": os.path.join(tmp_path, "ab"),
+        },
+    )
+    assert main(["train", "--config", cfg]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "training aborted at iteration" in err and "non-finite" in err
+    with open(os.path.join(tmp_path, "ab", "report.json")) as fh:
+        assert json.load(fh)["aborted"] is True
+    assert not os.path.exists(os.path.join(tmp_path, "ab", "map.json"))
 
 
 def test_train_rerun_is_byte_identical(tmp_path):
@@ -123,6 +141,12 @@ def test_invert_reports_rank_and_pvalue(tmp_path, trained_map, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) >= {"preimage", "radius", "rank_level", "pvalue"}
     assert 0.0 <= doc["rank_level"] <= 1.0
+    from otpost.inference import bayes_pvalue
+    from otpost.potential import map_from_json
+
+    with open(trained_map) as fh:
+        mp = map_from_json(fh.read())
+    assert doc["pvalue"] == bayes_pvalue(mp, [0.0, 0.0])
 
 
 def test_invert_dimension_mismatch_exits_2(tmp_path, trained_map):

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 from scipy.stats import chi2, kstest
 
 from otpost import inference
@@ -21,7 +23,8 @@ from otpost.inference import (
     sign_curves,
     simultaneous_ci,
 )
-from otpost.potential import AffineMap
+from otpost.experiments import random_maxpot_map
+from otpost.potential import AffineMap, transport_hard
 from otpost.rng import stream
 from tests.test_potential import random_map
 
@@ -96,8 +99,6 @@ def test_inverse_affine_is_exact():
 def test_inverse_round_trip_maxpot():
     mp = random_map(2, 2, 3, seed=50)
     rg = stream(51, 0)
-    from otpost.potential import transport_hard
-
     for _ in range(10):
         x = rg.normal(0.0, 1.0, 2)
         z, _ = transport_hard(mp, x)
@@ -107,20 +108,51 @@ def test_inverse_round_trip_maxpot():
 
 
 def test_inverse_many_matches_single():
-    mp = random_map(2, 1, 3, seed=52)
-    from otpost.potential import transport_hard
-
-    X = stream(53, 0).standard_normal((8, 2))
-    Z = np.array([transport_hard(mp, x)[0] for x in X])
-    Xb = inverse_many(mp, Z, tol=1e-7, max_steps=5000)
-    for i in range(8):
-        assert np.linalg.norm(Xb[i] - inverse(mp, Z[i], tol=1e-7, max_steps=5000)) <= 1e-6
+    for L in (1, 3):
+        mp = random_map(2, L, 3, seed=52)
+        X = stream(53, 0).standard_normal((8, 2))
+        Z = np.array([transport_hard(mp, x)[0] for x in X])
+        Xb = inverse_many(mp, Z, tol=1e-7, max_steps=5000)
+        for i in range(8):
+            assert np.linalg.norm(Xb[i] - inverse(mp, Z[i], tol=1e-7, max_steps=5000)) <= 1e-6
 
 
 def test_inverse_nonconvergence_raises():
     mp = random_map(2, 2, 3, seed=54)
     with pytest.raises(NonConvergence):
         inverse(mp, np.array([0.5, 0.5]), tol=1e-14, max_steps=1)
+
+
+def test_inverse_many_solves_all_pushed_points_of_l3_map():
+    mp = random_maxpot_map(3, 16, 5, 0)
+    X = stream(56, 0).standard_normal((200, 5))
+    Xb = inverse_many(mp, transport_hard(mp, X)[0])
+    assert np.max(np.abs(Xb - X)) <= 1e-6
+
+
+def l3_problem(p, seed, points_seed, n=8):
+    """random_maxpot_map(3, 16, p, seed) and n pushed points of N(0, 1.5^2 I)."""
+    mp = random_maxpot_map(3, 16, p, seed)
+    X = 1.5 * np.random.default_rng(points_seed).standard_normal((n, p))
+    return mp, transport_hard(mp, X)[0]
+
+
+@given(p=hst.sampled_from([2, 5]), seed=hst.integers(0, 2**16), points_seed=hst.integers(0, 2**32 - 1))
+def test_inverse_many_agrees_with_inverse_on_l3_maps(p, seed, points_seed):
+    mp, Z = l3_problem(p, seed, points_seed)
+    Xb = inverse_many(mp, Z)
+    for z, xb in zip(Z, Xb):
+        assert np.linalg.norm(inverse(mp, z) - xb) <= 1e-6
+
+
+@given(
+    p=hst.sampled_from([2, 5]), seed=hst.integers(0, 2**16),
+    points_seed=hst.integers(0, 2**32 - 1), tol=hst.sampled_from([1e-6, 1e-8, 1e-10]),
+)
+def test_inverse_round_trip_residual_within_tol_on_l3_maps(p, seed, points_seed, tol):
+    mp, Z = l3_problem(p, seed, points_seed)
+    Xb = inverse_many(mp, Z, tol=tol)
+    assert np.max(np.linalg.norm(transport_hard(mp, Xb)[0] - Z, axis=1)) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +173,22 @@ def test_rank_uniformity_kolmogorov_smirnov():
     levels = np.array([rank(amap, z).rank_level for z in draws])
     stat = kstest(levels, "uniform").statistic
     assert stat <= 0.05
+
+
+def test_rank_and_pvalue_equal_scipy_chi2_bitwise():
+    for p in (1, 2, 5, 10):
+        amap = identity_map(p)
+        radii = np.concatenate([
+            [0.0, 1e-6, 1e-3], np.linspace(0.1, 8.0, 40), np.sqrt(chi2.isf([1e-9, 1e-12], p)),
+        ])
+        for r in radii:
+            z = np.zeros(p)
+            z[0] = r
+            res = rank(amap, z)
+            x = res.preimage
+            assert res.rank_level == chi2.cdf(res.radius * res.radius, p)
+            assert bayes_pvalue(amap, z) == chi2.sf(x @ x, p)
+        assert bayes_pvalue(amap, z) <= 1.01e-12
 
 
 def test_bayes_pvalue_oracle():
