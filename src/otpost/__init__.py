@@ -8,15 +8,11 @@ independent samples and center-outward inference summaries.
 from .potential import (
     Activation,
     AffineMap,
-    ConvexUnit,
-    LocalPotential,
     MaxPotentialMap,
+    PotentialBank,
     SingularJacobian,
     activation_antiderivative,
     activation_value,
-    local_grad,
-    local_hessian,
-    local_value,
     objective_sample,
     param_grad,
     transport_hard,

@@ -253,10 +253,19 @@ def _load_map(path):
             text = fh.read()
     except OSError as e:
         raise ConfigError(f"{path}: {e}")
-    doc = json.loads(text)
-    if doc.get("family") in ("semidiscrete", "gmm_meanfield"):
-        return mixed.mixed_map_from_json(text)
-    return map_from_json(text)
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("a map file holds one JSON object")
+        if doc.get("family") in ("semidiscrete", "gmm_meanfield"):
+            return mixed.mixed_map_from_json(text)
+        return map_from_json(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}")
+    except KeyError as e:
+        raise ConfigError(f"{path}: not a map file: missing key {e}")
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: not a valid map file: {e}")
 
 
 def cmd_sample(args):

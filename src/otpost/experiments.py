@@ -7,6 +7,7 @@ deterministic given their seed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -14,13 +15,7 @@ import numpy as np
 
 from . import inference, metrics, mixed, plots, refsampler, trainer
 from .mixed import GmmPrior
-from .potential import (
-    Activation,
-    ConvexUnit,
-    LocalPotential,
-    MaxPotentialMap,
-    map_to_json,
-)
+from .potential import Activation, MaxPotentialMap, PotentialBank, map_to_json
 from .rng import stream
 from .samples import SampleMatrix
 from .target import (
@@ -86,25 +81,15 @@ def random_maxpot_map(L, M, p, seed, activation=Activation.TANH, centers=None,
     When ``centers`` is given (L, p), local k's linear terms sum to
     centers[k] so its gradient starts near that point.
     """
-    rg = stream(seed, 10)
-    locals_ = []
-    for k in range(L):
-        units = []
-        for _ in range(M):
-            beta = rg.normal(0.0, 0.05, p)
-            if centers is not None:
-                beta = beta + np.asarray(centers[k], dtype=float) / M
-            units.append(
-                ConvexUnit(
-                    alpha=rg.normal(0.0, alpha_scale / np.sqrt(p), p),
-                    beta=beta,
-                    w=float(rg.normal(0.0, 0.5)),
-                    v=0.0,
-                    activation=activation,
-                )
-            )
-        locals_.append(LocalPotential(units=tuple(units)))
-    return MaxPotentialMap(locals=tuple(locals_), gamma_sharp=gamma_sharp)
+    # unit by unit: p draws of beta, p of alpha, one of w
+    G = stream(seed, 10).standard_normal((L, M, 2 * p + 1))
+    beta = 0.05 * G[..., :p]
+    if centers is not None:
+        beta = beta + np.asarray(centers, dtype=float)[:, None, :] / M
+    alpha = alpha_scale / np.sqrt(p) * G[..., p : 2 * p]
+    w = 0.5 * G[..., 2 * p]
+    bank = PotentialBank(alpha, beta, w, np.zeros((L, M)), activation)
+    return MaxPotentialMap(bank, gamma_sharp=gamma_sharp)
 
 
 def _kmeans_centers(X, L, seed, iters=50):
@@ -131,10 +116,10 @@ def rebalance_locals(mp, spec, n=200000, seed=0, iters=400) -> MaxPotentialMap:
     sum_l w_l c_l - E max_l (u_l + c_l), so averaged-step ascent on the
     offsets converges to the matching weights.
     """
-    L = len(mp.locals)
+    L = mp.n_locals
     if L == 1:
         return mp
-    st = mp._stack
+    st = mp.bank
     rg = stream(seed, 90)
     # attribute each mixture component to the local currently serving it
     probe = rg.standard_normal((20000, mp.dim))
@@ -165,16 +150,9 @@ def rebalance_locals(mp, spec, n=200000, seed=0, iters=400) -> MaxPotentialMap:
             break
         c += step / np.sqrt(it + 1.0) * g
     c -= c.mean()
-    locals_ = []
-    for k, lp in enumerate(mp.locals):
-        units = list(lp.units)
-        last = units[-1]
-        units[-1] = ConvexUnit(
-            alpha=last.alpha, beta=last.beta, w=last.w,
-            v=float(last.v + c[k]), activation=last.activation,
-        )
-        locals_.append(LocalPotential(units=tuple(units)))
-    return MaxPotentialMap(locals=tuple(locals_), gamma_sharp=mp.gamma_sharp)
+    v = st.v.copy()
+    v[:, -1] += c  # the offset goes on each local's last unit
+    return MaxPotentialMap(dataclasses.replace(st, v=v), gamma_sharp=mp.gamma_sharp)
 
 
 def _train_mixture_map(spec, L, M, seed, activation, init_samples,
@@ -478,37 +456,27 @@ def informed_gmm_map(data, prior: GmmPrior, K, label_marginals, mean_sd,
     # is dominated by the x1 block exactly as the offset calibration assumes
     kappa = 1.0
     sd = np.asarray(mean_sd, dtype=float).reshape(p)
-    # curvature shared by every potential: J ~= kappa * n * H = diag(sd)
-    curv = []
-    for j in range(p):
-        a = np.sqrt(sd[j] / (n * curvature_units))
-        for _ in range(curvature_units):
-            e = np.zeros(p)
-            e[j] = a
-            curv.append(e)
+    # curvature units shared by every potential, curvature_units per
+    # coordinate: J ~= kappa * n * H = diag(sd)
+    a = np.sqrt(sd / (n * curvature_units))
+    curv = np.repeat(np.diag(a), curvature_units, axis=0)  # (p * curvature_units, p)
     m0 = np.broadcast_to(np.asarray(prior.m0, dtype=float), (d,))
-    grid = []
-    for i in range(n):
-        v_i, _ = _match_orthant_offsets(label_marginals[i])
-        row = []
-        for k in range(K):
-            beta = np.zeros(p)
-            beta[k * d : (k + 1) * d] = data[i] / sig2 / prec[k]
-            # spread the prior pull uniformly over observations
-            for b in range(K):
-                beta[b * d : (b + 1) * d] += (m0 / lam2 / prec[b]) / n
-            units = [
-                ConvexUnit(alpha=a, beta=np.zeros(p), w=0.0, v=0.0,
-                           activation=Activation.TANH)
-                for a in curv
-            ]
-            units.append(
-                ConvexUnit(alpha=np.zeros(p), beta=beta, w=0.0, v=float(v_i[k]),
-                           activation=Activation.TANH)
-            )
-            row.append(LocalPotential(units=tuple(units)))
-        grid.append(tuple(row))
-    return mixed.MeanFieldGmmMap(n_obs=n, K=K, d=d, phis=tuple(grid), kappa=kappa)
+    # one linear unit per potential: observation i's data point routed to
+    # block k, plus the prior pull spread uniformly over observations
+    lin = np.zeros((n, K, p))
+    for k in range(K):
+        lin[:, k, k * d : (k + 1) * d] = data / sig2 / prec[k]
+    lin += np.concatenate([m0 / lam2 / prec[b] for b in range(K)]) / n
+    offsets = np.array([_match_orthant_offsets(label_marginals[i])[0] for i in range(n)])
+    n_units = curv.shape[0] + 1
+    alpha = np.zeros((n * K, n_units, p))
+    alpha[:, :-1] = curv
+    beta = np.zeros((n * K, n_units, p))
+    beta[:, -1] = lin.reshape(n * K, p)
+    v = np.zeros((n * K, n_units))
+    v[:, -1] = offsets.ravel()
+    bank = PotentialBank(alpha, beta, np.zeros((n * K, n_units)), v, Activation.TANH)
+    return mixed.MeanFieldGmmMap(n_obs=n, K=K, d=d, bank=bank, kappa=kappa)
 
 
 def run_gmm(delta=6.0, out_dir=None, seed=41, n_obs=300, K=3, n_draws=1000,

@@ -166,7 +166,7 @@ def _solve(map, Z, tol=1e-8, max_steps=1000):
     """
     if isinstance(map, AffineMap):
         return map.invert(Z)
-    st = map._stack
+    st = map.bank
     out = np.empty_like(Z)
     rows = ar = np.arange(Z.shape[0])
     X = np.zeros_like(Z)

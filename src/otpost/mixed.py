@@ -9,21 +9,22 @@ observation (labels) and averages the continuous gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .potential import (
-    LocalPotential,
+    MAP_FORMAT_VERSION,
+    Activation,
+    PotentialBank,
     SingularJacobian,
-    _Stacked,
     activation_deriv,
     activation_second_deriv,
     activation_value,
-    local_grad,
-    local_hessian,
-    local_value,
+    inv_spd,
+    softmax,
 )
 from .rng import stream
 
@@ -90,22 +91,20 @@ class Embedding:
 
 @dataclass(frozen=True)
 class SemiDiscreteMap:
-    """One categorical coordinate plus a continuous part of dimension p."""
+    """One categorical coordinate plus a continuous part of dimension p.
+
+    Local potential k of ``bank`` is phi_k, the potential of category k.
+    """
 
     embedding: Embedding
-    phis: tuple[LocalPotential, ...]
+    bank: PotentialBank
     kappa: float = 1.0
 
     def __post_init__(self):
-        phis = tuple(self.phis)
-        if len(phis) != self.embedding.n_categories:
+        if self.bank.L != self.embedding.n_categories:
             raise ValueError("need one potential per category")
-        if len({ph.dim for ph in phis}) != 1:
-            raise ValueError("all potentials must share the continuous dimension")
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
-        object.__setattr__(self, "phis", phis)
-        object.__setattr__(self, "_stack", _Stacked(phis))
 
     @property
     def n_categories(self) -> int:
@@ -113,38 +112,33 @@ class SemiDiscreteMap:
 
     @property
     def phi_dim(self) -> int:
-        return self.phis[0].dim
+        return self.bank.p
 
 
 @dataclass(frozen=True)
 class MeanFieldGmmMap:
     """Per-observation label maps sharing one continuous block in R^{K d}.
 
-    ``phis[i][k]`` is the potential competing for label k of observation i;
-    the continuous output averages the winning gradients with weight kappa
-    (default 1/n_obs so identical gradients pass through unchanged).
+    Local potential i*K + k of ``bank`` competes for label k of observation
+    i; the continuous output averages the winning gradients with weight
+    kappa (default 1/n_obs so identical gradients pass through unchanged).
     """
 
     n_obs: int
     K: int
     d: int
-    phis: tuple[tuple[LocalPotential, ...], ...]
+    bank: PotentialBank
     kappa: float | None = None
 
     def __post_init__(self):
-        phis = tuple(tuple(row) for row in self.phis)
-        if len(phis) != self.n_obs or any(len(row) != self.K for row in phis):
-            raise ValueError("phis must be a complete n_obs x K grid")
-        p = self.K * self.d
-        if any(ph.dim != p for row in phis for ph in row):
+        if self.bank.L != self.n_obs * self.K:
+            raise ValueError("need one potential per observation and label")
+        if self.bank.p != self.K * self.d:
             raise ValueError("each potential must act on R^{K d}")
         kappa = 1.0 / self.n_obs if self.kappa is None else self.kappa
         if not kappa > 0:
             raise ValueError("kappa must be positive")
-        object.__setattr__(self, "phis", phis)
         object.__setattr__(self, "kappa", kappa)
-        flat = tuple(ph for row in phis for ph in row)
-        object.__setattr__(self, "_stack", _Stacked(flat))
 
     @property
     def phi_dim(self) -> int:
@@ -171,11 +165,10 @@ def push_mixed(map: SemiDiscreteMap, x1, x2):
     x2 = np.asarray(x2, dtype=float)
     if x1.shape != (map.embedding.r,) or x2.shape != (map.phi_dim,):
         raise ValueError("dimension mismatch")
-    scores = map.embedding.vectors @ x1 + np.array(
-        [local_value(ph, x2) for ph in map.phis]
-    )
-    tau = int(np.argmax(scores))
-    zeta = map.kappa * local_grad(map.phis[tau], x2)
+    X2 = x2[None, :]
+    s = map.bank.pre(X2)
+    tau = int(np.argmax(map.embedding.vectors @ x1 + map.bank.values(X2, s)[0]))
+    zeta = map.kappa * map.bank.grads(X2, s)[0, tau]
     return tau, zeta
 
 
@@ -185,10 +178,11 @@ def gmm_push(map: MeanFieldGmmMap, x1_blocks, x2):
     x2 = np.asarray(x2, dtype=float)
     if x2.shape != (map.phi_dim,):
         raise ValueError("dimension mismatch")
-    st = map._stack
-    vals = st.values(x2[None, :])[0].reshape(map.n_obs, map.K)
+    X2 = x2[None, :]
+    s = map.bank.pre(X2)
+    vals = map.bank.values(X2, s)[0].reshape(map.n_obs, map.K)
     labels = np.argmax(x1 + vals, axis=1)
-    grads = st.grads(x2[None, :])[0].reshape(map.n_obs, map.K, -1)
+    grads = map.bank.grads(X2, s)[0].reshape(map.n_obs, map.K, -1)
     zeta = map.kappa * grads[np.arange(map.n_obs), labels].sum(axis=0)
     return labels, zeta
 
@@ -202,13 +196,12 @@ def mixed_logdet(map, tau, x2) -> float:
     """
     x2 = np.asarray(x2, dtype=float)
     p = map.phi_dim
+    hess = map.bank.hessians(x2[None, :])[0]  # (L, p, p)
     if isinstance(map, SemiDiscreteMap):
-        H = local_hessian(map.phis[int(tau)], x2)
+        H = hess[int(tau)]
     else:
         labels = np.asarray(tau, dtype=int)
-        H = sum(
-            local_hessian(map.phis[i][labels[i]], x2) for i in range(map.n_obs)
-        )
+        H = hess.reshape(map.n_obs, map.K, p, p)[np.arange(map.n_obs), labels].sum(axis=0)
     sign, logdet = np.linalg.slogdet(H)
     if sign <= 0:
         raise SingularJacobian(x2)
@@ -226,23 +219,17 @@ def conditional_prob_estimate(map, tau, x2, n_inner: int, seed: int, gamma: floa
         raise ValueError("n_inner must be >= 1")
     x2 = np.asarray(x2, dtype=float)
     if isinstance(map, SemiDiscreteMap):
-        vals = map._stack.values(x2[None, :])[0]  # (K,)
+        vals = map.bank.values(x2[None, :])[0]  # (K,)
         Z = stream(seed, 5).standard_normal((n_inner, map.embedding.r))
         scores = Z @ map.embedding.vectors.T + vals
-        W = _softmax(gamma * scores, axis=1)
+        W = softmax(gamma * scores, axis=1)
         return float(np.mean(W[:, int(tau)]))
     labels = np.asarray(tau, dtype=int)
-    vals = map._stack.values(x2[None, :])[0].reshape(map.n_obs, map.K)
+    vals = map.bank.values(x2[None, :])[0].reshape(map.n_obs, map.K)
     Z = stream(seed, 5).standard_normal((n_inner, map.n_obs, map.K))
-    W = _softmax(gamma * (Z + vals), axis=2)
+    W = softmax(gamma * (Z + vals), axis=2)
     per_obs = W[:, np.arange(map.n_obs), labels].mean(axis=0)
     return float(np.prod(per_obs))
-
-
-def _softmax(z, axis):
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -345,45 +332,11 @@ def discrete_mixture_target(weights, means, sds) -> MixedTarget:
 
 
 def flat_params(map) -> np.ndarray:
-    st = map._stack
-    blocks = np.concatenate(
-        [st.alpha, st.beta, st.w[..., None], st.v[..., None]], axis=2
-    )
-    return blocks.ravel()
+    return map.bank.flat()
 
 
 def with_flat_params(map, theta: np.ndarray):
-    st = map._stack
-    blocks = np.asarray(theta, dtype=float).reshape(st.L, st.M, 2 * st.p + 2)
-    from .potential import ConvexUnit
-
-    def rebuild_local(k):
-        units = []
-        for m in range(st.M):
-            b = blocks[k, m]
-            units.append(
-                ConvexUnit(
-                    alpha=b[: st.p],
-                    beta=b[st.p : 2 * st.p],
-                    w=float(b[2 * st.p]),
-                    v=float(b[2 * st.p + 1]),
-                    activation=st.acts[k][m],
-                )
-            )
-        return LocalPotential(units=tuple(units))
-
-    locals_ = [rebuild_local(k) for k in range(st.L)]
-    if isinstance(map, SemiDiscreteMap):
-        return SemiDiscreteMap(
-            embedding=map.embedding, phis=tuple(locals_), kappa=map.kappa
-        )
-    grid = tuple(
-        tuple(locals_[i * map.K + k] for k in range(map.K))
-        for i in range(map.n_obs)
-    )
-    return MeanFieldGmmMap(
-        n_obs=map.n_obs, K=map.K, d=map.d, phis=grid, kappa=map.kappa
-    )
+    return replace(map, bank=map.bank.with_flat(theta))
 
 
 def reference_dim(map) -> int:
@@ -403,7 +356,7 @@ def _phi_param_vjp(st, X2, gval, Gvec, Acoef):
     """
     B = X2.shape[0]
     s = st.pre(X2)
-    phi = st._apply(activation_value, s)
+    phi = activation_value(st.activation, s)
     coef = gval[:, :, None] * phi  # multiplier of x2 in d/dalpha, and d/dw
     grad_alpha = np.zeros((B, st.L, st.M, st.p))
     grad_beta = np.broadcast_to(
@@ -411,14 +364,14 @@ def _phi_param_vjp(st, X2, gval, Gvec, Acoef):
     ).copy()
     grad_v = np.broadcast_to(gval[:, :, None], (B, st.L, st.M)).copy()
     if Gvec is not None:
-        dphi = st._apply(activation_deriv, s)
+        dphi = activation_deriv(st.activation, s)
         ga = np.einsum("blp,lmp->blm", Gvec, st.alpha)
         coef = coef + dphi * ga
         grad_alpha += phi[..., None] * Gvec[:, :, None, :]
         grad_beta += Gvec[:, :, None, :]
     if Acoef is not None:
-        dphi = st._apply(activation_deriv, s)
-        ddphi = st._apply(activation_second_deriv, s)
+        dphi = activation_deriv(st.activation, s)
+        ddphi = activation_second_deriv(st.activation, s)
         Aalpha = np.einsum("blpq,lmq->blmp", Acoef, st.alpha)
         aAa = np.einsum("lmp,blmp->blm", st.alpha, Aalpha)
         coef = coef + ddphi * aAa
@@ -429,12 +382,6 @@ def _phi_param_vjp(st, X2, gval, Gvec, Acoef):
         [grad_alpha, grad_beta, grad_w[..., None], grad_v[..., None]], axis=3
     )
     return blocks.reshape(B, -1)
-
-
-def _inv_spd_batch(H):
-    chol = np.linalg.cholesky(H)
-    inv_chol = np.linalg.inv(chol)
-    return np.einsum("bqp,bqr->bpr", inv_chol, inv_chol)
 
 
 def mixed_objective_grad(map, target: MixedTarget, X, gamma: float, jitter=None):
@@ -449,7 +396,7 @@ def mixed_objective_grad(map, target: MixedTarget, X, gamma: float, jitter=None)
     """
     X = np.asarray(X, dtype=float)
     B = X.shape[0]
-    st = map._stack
+    st = map.bank
     p = map.phi_dim
     if isinstance(map, SemiDiscreteMap):
         r = map.embedding.r
@@ -469,7 +416,7 @@ def mixed_objective_grad(map, target: MixedTarget, X, gamma: float, jitter=None)
         logpi = target.log_unnorm(tau[:, None], zeta)
         # softmax weights over categories for every (inner j, sample b) pair
         C = lin[:, None, :] + vals[None, :, :]  # (j, b, K)
-        W = _softmax(gamma * C, axis=2)
+        W = softmax(gamma * C, axis=2)
         Wt = W[:, idx, tau]  # (j, b)
         S1 = Wt.sum(axis=0)  # B * Phat
         log_phat = np.log(S1 / B)
@@ -480,7 +427,7 @@ def mixed_objective_grad(map, target: MixedTarget, X, gamma: float, jitter=None)
         Acoef = np.zeros((B, st.L, p, p))
         sc = np.asarray(target.score(tau[:, None], zeta), dtype=float)
         Gvec[idx[ok], tau[ok]] = -map.kappa * sc[ok]
-        Acoef[idx[ok], tau[ok]] = -_inv_spd_batch(Htau[ok])
+        Acoef[idx[ok], tau[ok]] = -inv_spd(Htau[ok])
         objs = np.where(
             ok, log_phat - logpi - (p * np.log(map.kappa) + logdetH), np.inf
         )
@@ -513,7 +460,7 @@ def mixed_objective_grad(map, target: MixedTarget, X, gamma: float, jitter=None)
     for lo in range(0, B, chunk):
         hi = min(B, lo + chunk)
         C = X1[:, None, :, :] + vals[None, lo:hi, :, :]  # (j, b', n, K)
-        W = _softmax(gamma * C, axis=3)
+        W = softmax(gamma * C, axis=3)
         lb = labels[lo:hi]
         Wt = W[:, np.arange(hi - lo)[:, None], obs, lb]  # (j, b', n)
         S1 = Wt.sum(axis=0)
@@ -527,7 +474,7 @@ def mixed_objective_grad(map, target: MixedTarget, X, gamma: float, jitter=None)
     sc = np.asarray(target.score(labels, zeta), dtype=float)
     Gvec[idx, obs, labels] = -map.kappa * sc[:, None, :]
     Ainv = np.zeros((B, p, p))
-    Ainv[ok] = _inv_spd_batch(Hsum[ok])
+    Ainv[ok] = inv_spd(Hsum[ok])
     Acoef[idx, obs, labels] = -Ainv[:, None, :, :]
     objs = np.where(ok, log_phat - logpi - (p * np.log(map.kappa) + logdetH), np.inf)
     per = _phi_param_vjp(
@@ -541,45 +488,12 @@ def mixed_objective_grad(map, target: MixedTarget, X, gamma: float, jitter=None)
 # serialization
 
 
-def _local_doc(lp: LocalPotential) -> dict:
-    return {
-        "units": [
-            {
-                "activation": u.activation.value,
-                "alpha": u.alpha.tolist(),
-                "beta": u.beta.tolist(),
-                "w": u.w,
-                "v": u.v,
-            }
-            for u in lp.units
-        ]
-    }
-
-
-def _local_from_doc(doc) -> LocalPotential:
-    from .potential import Activation, ConvexUnit
-
-    return LocalPotential(
-        units=tuple(
-            ConvexUnit(
-                alpha=np.array(u["alpha"], dtype=float),
-                beta=np.array(u["beta"], dtype=float),
-                w=float(u["w"]),
-                v=float(u["v"]),
-                activation=Activation(u["activation"]),
-            )
-            for u in doc["units"]
-        )
-    )
-
-
 def mixed_map_to_json(map) -> str:
     """Versioned JSON document for mixed maps (same format version as
     potential.map_to_json)."""
-    import json
-
-    from .potential import MAP_FORMAT_VERSION
-
+    if not isinstance(map, (SemiDiscreteMap, MeanFieldGmmMap)):
+        raise TypeError(f"not a mixed map: {type(map).__name__}")
+    docs = map.bank.to_docs()
     if isinstance(map, SemiDiscreteMap):
         doc = {
             "version": MAP_FORMAT_VERSION,
@@ -589,9 +503,9 @@ def mixed_map_to_json(map) -> str:
                 "kind": map.embedding.kind,
                 "vectors": map.embedding.vectors.tolist(),
             },
-            "phis": [_local_doc(ph) for ph in map.phis],
+            "phis": docs,
         }
-    elif isinstance(map, MeanFieldGmmMap):
+    else:
         doc = {
             "version": MAP_FORMAT_VERSION,
             "family": "gmm_meanfield",
@@ -599,18 +513,12 @@ def mixed_map_to_json(map) -> str:
             "K": map.K,
             "d": map.d,
             "kappa": map.kappa,
-            "phis": [[_local_doc(ph) for ph in row] for row in map.phis],
+            "phis": [docs[i * map.K : (i + 1) * map.K] for i in range(map.n_obs)],
         }
-    else:
-        raise TypeError(f"not a mixed map: {type(map).__name__}")
     return json.dumps(doc, indent=2)
 
 
 def mixed_map_from_json(text: str):
-    import json
-
-    from .potential import MAP_FORMAT_VERSION
-
     doc = json.loads(text)
     if doc.get("version") != MAP_FORMAT_VERSION:
         raise ValueError(f"unsupported map format version {doc.get('version')!r}")
@@ -622,7 +530,7 @@ def mixed_map_from_json(text: str):
         )
         return SemiDiscreteMap(
             embedding=emb,
-            phis=tuple(_local_from_doc(p) for p in doc["phis"]),
+            bank=PotentialBank.from_docs(doc["phis"]),
             kappa=float(doc["kappa"]),
         )
     if family == "gmm_meanfield":
@@ -630,9 +538,7 @@ def mixed_map_from_json(text: str):
             n_obs=int(doc["n_obs"]),
             K=int(doc["K"]),
             d=int(doc["d"]),
-            phis=tuple(
-                tuple(_local_from_doc(p) for p in row) for row in doc["phis"]
-            ),
+            bank=PotentialBank.from_docs([lp for row in doc["phis"] for lp in row]),
             kappa=float(doc["kappa"]),
         )
     raise ValueError(f"unknown mixed map family {family!r}")
@@ -642,56 +548,28 @@ def mixed_map_from_json(text: str):
 # constructors
 
 
-def _random_local(dim, M, seed_path, scale=0.3, activation=None):
-    from .potential import Activation, ConvexUnit
-
-    act = activation or Activation.TANH
-    rg = stream(*seed_path)
-    units = []
-    for _ in range(M):
-        units.append(
-            ConvexUnit(
-                alpha=rg.normal(0.0, scale, dim),
-                beta=rg.normal(0.0, scale, dim),
-                w=float(rg.normal(0.0, scale)),
-                v=0.0,
-                activation=act,
-            )
-        )
-    return LocalPotential(units=tuple(units))
+def _random_bank(dim, M, seed_paths, activation, scale=0.3):
+    """One local potential of M units per seed path; each unit draws alpha,
+    beta and w, in that order, from its local's stream."""
+    G = scale * np.stack([stream(*path).standard_normal((M, 2 * dim + 1)) for path in seed_paths])
+    w = G[..., 2 * dim]
+    return PotentialBank(
+        G[..., :dim], G[..., dim : 2 * dim], w, np.zeros_like(w), activation or Activation.TANH
+    )
 
 
 def random_semidiscrete_map(K, p, M, seed, kappa=1.0, activation=None):
-    phis = tuple(_random_local(p, M, (seed, 3, k), activation=activation) for k in range(K))
-    return SemiDiscreteMap(embedding=Embedding.one_hot(K), phis=phis, kappa=kappa)
+    bank = _random_bank(p, M, [(seed, 3, k) for k in range(K)], activation)
+    return SemiDiscreteMap(embedding=Embedding.one_hot(K), bank=bank, kappa=kappa)
 
 
 def random_gmm_map(n_obs, K, d, M, seed, kappa=None, block_split=False, activation=None):
     """Random grid initialization; with block_split, the potential for
     label k of each observation only sees the k-th d-block of x2."""
     p = K * d
-    grid = []
-    for i in range(n_obs):
-        row = []
-        for k in range(K):
-            lp = _random_local(p, M, (seed, 4, i, k), activation=activation)
-            if block_split:
-                mask = np.zeros(p)
-                mask[k * d : (k + 1) * d] = 1.0
-                from .potential import ConvexUnit
-
-                lp = LocalPotential(
-                    units=tuple(
-                        ConvexUnit(
-                            alpha=u.alpha * mask,
-                            beta=u.beta * mask,
-                            w=u.w,
-                            v=u.v,
-                            activation=u.activation,
-                        )
-                        for u in lp.units
-                    )
-                )
-            row.append(lp)
-        grid.append(tuple(row))
-    return MeanFieldGmmMap(n_obs=n_obs, K=K, d=d, phis=tuple(grid), kappa=kappa)
+    bank = _random_bank(p, M, [(seed, 4, i, k) for i in range(n_obs) for k in range(K)], activation)
+    if block_split:
+        mask = np.kron(np.eye(K), np.ones(d))  # row k: ones on the k-th d-block
+        mask = np.tile(mask, (n_obs, 1))[:, None, :]  # (n_obs K, 1, p)
+        bank = replace(bank, alpha=bank.alpha * mask, beta=bank.beta * mask)
+    return MeanFieldGmmMap(n_obs=n_obs, K=K, d=d, bank=bank, kappa=kappa)

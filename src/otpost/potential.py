@@ -5,7 +5,8 @@ antiderivative of a bounded increasing activation, so each unit is convex.
 A local potential sums M units; the full potential is the max over L local
 potentials, smoothed with a softmax of sharpness ``gamma_sharp`` during
 training. The transport map is the gradient of the potential, the Jacobian
-is its Hessian.
+is its Hessian. All L x M units live in one ``PotentialBank`` of stacked
+arrays.
 
 Parameter flattening order (stable, used by training and serialization):
 for each local k = 0..L-1, for each unit m = 0..M-1, fields in order
@@ -16,14 +17,13 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Activation",
-    "ConvexUnit",
-    "LocalPotential",
+    "PotentialBank",
     "MaxPotentialMap",
     "AffineMap",
     "SingularJacobian",
@@ -31,10 +31,6 @@ __all__ = [
     "activation_deriv",
     "activation_second_deriv",
     "activation_antiderivative",
-    "unit_value",
-    "local_value",
-    "local_grad",
-    "local_hessian",
     "transport_hard",
     "transport_smooth",
     "objective_sample",
@@ -124,83 +120,47 @@ def activation_antiderivative(activation: Activation, u):
     raise ValueError(f"unknown activation {activation!r}")
 
 
-@dataclass(frozen=True)
-class ConvexUnit:
-    """One convex building block F(<alpha,x>+w) + <beta,x> + v."""
+@dataclass(frozen=True, eq=False)
+class PotentialBank:
+    """L local potentials of M convex units each, as stacked arrays.
+
+    Unit (k, m) is ``F(<alpha[k,m], x> + w[k,m]) + <beta[k,m], x> + v[k,m]``
+    and local potential k sums its M units, so it is convex with a PSD
+    Hessian everywhere. Shapes: alpha, beta (L, M, p); w, v (L, M). Every
+    unit uses the one activation. Only the per-local sums of beta and v
+    enter values and derivatives.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
-    w: float
-    v: float
+    w: np.ndarray
+    v: np.ndarray
     activation: Activation = Activation.TANH
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        if self.alpha.shape != self.beta.shape or self.alpha.ndim != 1:
-            raise ValueError("alpha and beta must be vectors of equal length")
+        for name in ("alpha", "beta", "w", "v"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float, order="C"))
+        if self.alpha.ndim != 3 or self.beta.shape != self.alpha.shape:
+            raise ValueError("alpha and beta must be (L, M, p) arrays of one shape")
+        if self.w.shape != self.alpha.shape[:2] or self.v.shape != self.w.shape:
+            raise ValueError("w and v must be (L, M) arrays")
+        if 0 in self.alpha.shape:
+            raise ValueError("need at least one local potential, unit and dimension")
+        object.__setattr__(self, "activation", Activation(self.activation))
+        object.__setattr__(self, "beta_sum", self.beta.sum(axis=1))  # (L, p)
+        object.__setattr__(self, "v_sum", self.v.sum(axis=1))  # (L,)
 
     @property
-    def dim(self) -> int:
+    def L(self) -> int:
         return self.alpha.shape[0]
 
-
-@dataclass(frozen=True)
-class LocalPotential:
-    """Sum of convex units; convex with PSD Hessian everywhere."""
-
-    units: tuple[ConvexUnit, ...]
-
-    def __post_init__(self):
-        units = tuple(self.units)
-        if not units:
-            raise ValueError("a local potential needs at least one unit")
-        if len({u.dim for u in units}) != 1:
-            raise ValueError("all units must share the input dimension")
-        object.__setattr__(self, "units", units)
+    @property
+    def M(self) -> int:
+        return self.alpha.shape[1]
 
     @property
-    def dim(self) -> int:
-        return self.units[0].dim
-
-    @property
-    def n_units(self) -> int:
-        return len(self.units)
-
-
-class _Stacked:
-    """Array view of a list of local potentials: all parameters stacked.
-
-    Shapes: alpha, beta (L, M, p); w, v (L, M); act codes (L, M).
-    Requires every local to have the same number of units.
-    """
-
-    def __init__(self, locals_: tuple[LocalPotential, ...]):
-        L = len(locals_)
-        M = locals_[0].n_units
-        if any(lp.n_units != M for lp in locals_):
-            raise ValueError("all local potentials must have the same number of units")
-        p = locals_[0].dim
-        self.L, self.M, self.p = L, M, p
-        self.alpha = np.stack([[u.alpha for u in lp.units] for lp in locals_])
-        self.beta = np.stack([[u.beta for u in lp.units] for lp in locals_])
-        self.w = np.array([[u.w for u in lp.units] for lp in locals_])
-        self.v = np.array([[u.v for u in lp.units] for lp in locals_])
-        acts = [[u.activation for u in lp.units] for lp in locals_]
-        flat = [a for row in acts for a in row]
-        self.acts = acts
-        self.uniform_act = flat[0] if len(set(flat)) == 1 else None
-        self.beta_sum = self.beta.sum(axis=1)  # (L, p)
-        self.v_sum = self.v.sum(axis=1)  # (L,)
-
-    def _apply(self, fn, s):
-        if self.uniform_act is not None:
-            return fn(self.uniform_act, s)
-        out = np.empty_like(s)
-        for k in range(self.L):
-            for m in range(self.M):
-                out[..., k, m] = fn(self.acts[k][m], s[..., k, m])
-        return out
+    def p(self) -> int:
+        return self.alpha.shape[2]
 
     def pre(self, X):
         """<alpha, x> + w for a batch X (B, p) -> (B, L, M)."""
@@ -208,80 +168,97 @@ class _Stacked:
 
     def values(self, X, s=None):
         s = self.pre(X) if s is None else s
-        F = self._apply(activation_antiderivative, s)
+        F = activation_antiderivative(self.activation, s)
         return F.sum(axis=2) + X @ self.beta_sum.T + self.v_sum  # (B, L)
 
     def grads(self, X, s=None):
         s = self.pre(X) if s is None else s
-        phi = self._apply(activation_value, s)
+        phi = activation_value(self.activation, s)
         return np.einsum("blm,lmp->blp", phi, self.alpha) + self.beta_sum
 
     def hessians(self, X, s=None):
         s = self.pre(X) if s is None else s
-        dphi = self._apply(activation_deriv, s)
+        dphi = activation_deriv(self.activation, s)
         return np.einsum("blm,lmp,lmq->blpq", dphi, self.alpha, self.alpha)
+
+    def flat(self) -> np.ndarray:
+        """Parameters in the canonical flattening order (module docstring)."""
+        blocks = np.concatenate(
+            [self.alpha, self.beta, self.w[..., None], self.v[..., None]], axis=2
+        )  # (L, M, 2p+2)
+        return blocks.ravel()
+
+    def with_flat(self, theta: np.ndarray) -> "PotentialBank":
+        p = self.p
+        blocks = np.asarray(theta, dtype=float).reshape(self.L, self.M, 2 * p + 2)
+        return PotentialBank(
+            alpha=blocks[..., :p], beta=blocks[..., p : 2 * p],
+            w=blocks[..., 2 * p], v=blocks[..., 2 * p + 1], activation=self.activation,
+        )
+
+    def to_docs(self) -> list[dict]:
+        """One ``{"units": [...]}`` JSON object per local potential."""
+        act = self.activation.value
+        alpha, beta = self.alpha.tolist(), self.beta.tolist()
+        w, v = self.w.tolist(), self.v.tolist()
+        return [
+            {
+                "units": [
+                    {"activation": act, "alpha": a, "beta": b, "w": wm, "v": vm}
+                    for a, b, wm, vm in zip(alpha[k], beta[k], w[k], v[k])
+                ]
+            }
+            for k in range(self.L)
+        ]
+
+    @classmethod
+    def from_docs(cls, docs) -> "PotentialBank":
+        """Inverse of to_docs; every unit must name the same activation."""
+        units = [lp["units"] for lp in docs]
+        acts = {u["activation"] for row in units for u in row}
+        if len(acts) != 1:
+            raise ValueError(f"a map needs one activation for all units, got {sorted(acts)}")
+        if len({len(row) for row in units}) != 1:
+            raise ValueError("all local potentials must have the same number of units")
+        alpha, beta, w, v = (
+            np.array([[u[key] for u in row] for row in units], dtype=float)
+            for key in ("alpha", "beta", "w", "v")
+        )
+        return cls(alpha, beta, w, v, Activation(acts.pop()))
 
 
 @dataclass(frozen=True)
 class MaxPotentialMap:
     """Transport map T = grad(max_k u_k), softmax-smoothed while training."""
 
-    locals: tuple[LocalPotential, ...]
+    bank: PotentialBank
     gamma_sharp: float = 10.0
 
     def __post_init__(self):
-        locals_ = tuple(self.locals)
-        if not locals_:
-            raise ValueError("need at least one local potential")
-        if len({lp.dim for lp in locals_}) != 1:
-            raise ValueError("all local potentials must share the input dimension")
         if not self.gamma_sharp > 0:
             raise ValueError("gamma_sharp must be positive")
-        object.__setattr__(self, "locals", locals_)
-        object.__setattr__(self, "_stack", _Stacked(locals_))
 
     @property
     def dim(self) -> int:
-        return self.locals[0].dim
+        return self.bank.p
 
     @property
     def n_locals(self) -> int:
-        return len(self.locals)
+        return self.bank.L
 
     @property
     def n_params(self) -> int:
-        st = self._stack
-        return st.L * st.M * (2 * st.p + 2)
+        b = self.bank
+        return b.L * b.M * (2 * b.p + 2)
 
     def flat_params(self) -> np.ndarray:
-        st = self._stack
-        blocks = np.concatenate(
-            [st.alpha, st.beta, st.w[..., None], st.v[..., None]], axis=2
-        )  # (L, M, 2p+2)
-        return blocks.ravel()
+        return self.bank.flat()
 
     def with_flat_params(self, theta: np.ndarray) -> "MaxPotentialMap":
-        st = self._stack
-        blocks = np.asarray(theta, dtype=float).reshape(st.L, st.M, 2 * st.p + 2)
-        locals_ = []
-        for k in range(st.L):
-            units = []
-            for m in range(st.M):
-                b = blocks[k, m]
-                units.append(
-                    ConvexUnit(
-                        alpha=b[: st.p],
-                        beta=b[st.p : 2 * st.p],
-                        w=float(b[2 * st.p]),
-                        v=float(b[2 * st.p + 1]),
-                        activation=st.acts[k][m],
-                    )
-                )
-            locals_.append(LocalPotential(units=tuple(units)))
-        return MaxPotentialMap(locals=tuple(locals_), gamma_sharp=self.gamma_sharp)
+        return MaxPotentialMap(self.bank.with_flat(theta), self.gamma_sharp)
 
     def with_gamma(self, gamma_sharp: float) -> "MaxPotentialMap":
-        return MaxPotentialMap(locals=self.locals, gamma_sharp=gamma_sharp)
+        return MaxPotentialMap(self.bank, gamma_sharp)
 
 
 @dataclass(frozen=True)
@@ -341,62 +318,23 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-def unit_value(unit: ConvexUnit, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != unit.dim:
-        raise ValueError("dimension mismatch")
-    s = x @ unit.alpha + unit.w
-    F = activation_antiderivative(unit.activation, s)
-    return F + x @ unit.beta + unit.v
-
-
-def local_value(pot: LocalPotential, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != pot.dim:
-        raise ValueError("dimension mismatch")
-    return sum(unit_value(u, x) for u in pot.units)
-
-
-def local_grad(pot: LocalPotential, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != pot.dim:
-        raise ValueError("dimension mismatch")
-    g = np.zeros_like(x)
-    for u in pot.units:
-        s = x @ u.alpha + u.w
-        g = g + np.multiply.outer(activation_value(u.activation, s), u.alpha) + u.beta
-    return g
-
-
-def local_hessian(pot: LocalPotential, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != pot.dim:
-        raise ValueError("dimension mismatch")
-    H = np.zeros((pot.dim, pot.dim))
-    for u in pot.units:
-        s = float(x @ u.alpha + u.w)
-        H += activation_deriv(u.activation, s) * np.outer(u.alpha, u.alpha)
-    return H
-
-
 def transport_hard(map: MaxPotentialMap, x) -> tuple[np.ndarray, int]:
     """Gradient of the winning local potential; ties go to the lowest index."""
     X, single = _as_batch(x)
-    st = map._stack
-    u = st.values(X)
-    winners = np.argmax(u, axis=1)
-    grads = st.grads(X)
+    bank = map.bank
+    s = bank.pre(X)
+    winners = np.argmax(bank.values(X, s), axis=1)
+    grads = bank.grads(X, s)
     out = grads[np.arange(X.shape[0]), winners]
     if single:
         return out[0], int(winners[0])
     return out, winners
 
 
-def _softmax_weights(u: np.ndarray, gamma: float) -> np.ndarray:
-    z = gamma * u
-    z = z - z.max(axis=1, keepdims=True)
+def softmax(z: np.ndarray, axis: int) -> np.ndarray:
+    z = z - z.max(axis=axis, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def _chol_batch(J: np.ndarray, X: np.ndarray, jitter: float | None):
@@ -432,12 +370,11 @@ def transport_smooth(
 
 def smooth_batch(map: MaxPotentialMap, X: np.ndarray, jitter: float | None = None):
     """Batched smooth transport: (value, jac, logdet, valid mask)."""
-    st = map._stack
-    s = st.pre(X)
-    u = st.values(X, s)
-    omega = _softmax_weights(u, map.gamma_sharp)
-    grads = st.grads(X, s)
-    hess = st.hessians(X, s)
+    bank = map.bank
+    s = bank.pre(X)
+    omega = softmax(map.gamma_sharp * bank.values(X, s), axis=1)
+    grads = bank.grads(X, s)
+    hess = bank.hessians(X, s)
     value = np.einsum("bl,blp->bp", omega, grads)
     J = np.einsum("bl,blpq->bpq", omega, hess)
     chol, ok = _chol_batch(J, X, jitter)
@@ -474,7 +411,8 @@ def objective_batch(map, target, X: np.ndarray, jitter: float | None = None):
 # analytic parameter derivatives
 
 
-def _inv_from_spd(J: np.ndarray) -> np.ndarray:
+def inv_spd(J: np.ndarray) -> np.ndarray:
+    """Inverses of a batch (B, p, p) of symmetric positive-definite matrices."""
     chol = np.linalg.cholesky(J)
     inv_chol = np.linalg.inv(chol)
     return np.einsum("bqp,bqr->bpr", inv_chol, inv_chol)
@@ -493,24 +431,23 @@ def smooth_param_grads(
     per-sample Jacobians, the tr(J^{-1} dJ/dtheta) term is added. Returns
     (B, n_params) in the canonical flattening order.
     """
-    st = map._stack
+    st = map.bank
     gamma = map.gamma_sharp
     B = X.shape[0]
     s = st.pre(X)
-    u = st.values(X, s)
-    omega = _softmax_weights(u, gamma)
+    omega = softmax(gamma * st.values(X, s), axis=1)
     grads = st.grads(X, s)
-    phi = st._apply(activation_value, s)
-    dphi = st._apply(activation_deriv, s)
+    phi = activation_value(st.activation, s)
+    dphi = activation_deriv(st.activation, s)
 
     a = np.einsum("bp,blp->bl", G, grads)  # G . grad u_l
     if with_logdet_of is not None:
-        A = _inv_from_spd(with_logdet_of)  # (B, p, p)
+        A = inv_spd(with_logdet_of)  # (B, p, p)
         hess = st.hessians(X, s)
         c = np.einsum("bpq,blqp->bl", A, hess)
         Aalpha = np.einsum("bpq,lmq->blmp", A, st.alpha)
         quad = np.einsum("lmp,blmp->blm", st.alpha, Aalpha)
-        ddphi = st._apply(activation_second_deriv, s)
+        ddphi = activation_second_deriv(st.activation, s)
     else:
         c = np.zeros_like(a)
     score = a + c
@@ -586,28 +523,13 @@ def map_to_json(map) -> str:
             "n_scale": map.n_scale,
         }
         return json.dumps(doc, indent=2)
-    st = map._stack
     doc = {
         "version": MAP_FORMAT_VERSION,
         "family": "maxpot",
         "p": map.dim,
         "L": map.n_locals,
         "gamma_sharp": map.gamma_sharp,
-        "locals": [
-            {
-                "units": [
-                    {
-                        "activation": u.activation.value,
-                        "alpha": u.alpha.tolist(),
-                        "beta": u.beta.tolist(),
-                        "w": u.w,
-                        "v": u.v,
-                    }
-                    for u in lp.units
-                ]
-            }
-            for lp in map.locals
-        ],
+        "locals": map.bank.to_docs(),
     }
     return json.dumps(doc, indent=2)
 
@@ -623,19 +545,8 @@ def map_from_json(text: str):
             chol_factor=np.array(doc["chol_factor"], dtype=float),
             n_scale=int(doc["n_scale"]),
         )
-    locals_ = tuple(
-        LocalPotential(
-            units=tuple(
-                ConvexUnit(
-                    alpha=np.array(u["alpha"], dtype=float),
-                    beta=np.array(u["beta"], dtype=float),
-                    w=float(u["w"]),
-                    v=float(u["v"]),
-                    activation=Activation(u["activation"]),
-                )
-                for u in lp["units"]
-            )
-        )
-        for lp in doc["locals"]
+    if family != "maxpot":
+        raise ValueError(f"unknown map family {family!r}")
+    return MaxPotentialMap(
+        PotentialBank.from_docs(doc["locals"]), gamma_sharp=float(doc["gamma_sharp"])
     )
-    return MaxPotentialMap(locals=locals_, gamma_sharp=float(doc["gamma_sharp"]))

@@ -12,7 +12,6 @@ from scipy.stats import kstest
 
 from otpost import experiments, inference, metrics, trainer
 from otpost.potential import (
-    local_value,
     objective_sample,
     param_grad,
     smooth_batch,
@@ -22,7 +21,7 @@ from otpost.potential import (
 from otpost.rng import stream
 from otpost.target import TargetDensity, std_normal
 from tests import conftest
-from tests.test_potential import random_map
+from tests.test_potential import random_map, unit_loop_value
 
 # entropic-W2 regularization per experiment, calibrated at N=10,000
 TWOBALL_EPS = 60.0
@@ -162,7 +161,7 @@ def test_criterion_7_property_suites():
     lam = rg.random(1000)
 
     def maxpot_value(mm, P):
-        return np.array([max(local_value(lp, x) for lp in mm.locals) for x in P])
+        return np.array([max(unit_loop_value(mm.bank, k, x) for k in range(mm.n_locals)) for x in P])
 
     ux, uy = maxpot_value(mp2, Xc), maxpot_value(mp2, Yc)
     um = maxpot_value(mp2, lam[:, None] * Xc + (1 - lam[:, None]) * Yc)

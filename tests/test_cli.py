@@ -217,3 +217,55 @@ def test_semidiscrete_training_via_cli(tmp_path):
 
     s = SampleMatrix.from_csv(out)
     assert s.columns[0] == "tau_0"
+
+
+def _maxpot_doc():
+    with open(os.path.join(os.path.dirname(__file__), "data", "map_v1_maxpot.json")) as fh:
+        return json.load(fh)
+
+
+def _bad_version(doc):
+    doc["version"] = 2
+
+
+def _bad_family(doc):
+    doc["family"] = "bogus"
+
+
+def _missing_key(doc):
+    del doc["gamma_sharp"]
+
+
+def _ragged_bank(doc):
+    doc["locals"][0]["units"].pop()
+
+
+def _mixed_activations(doc):
+    doc["locals"][0]["units"][0]["activation"] = "tanh"
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_bad_version, "unsupported map format version 2"),
+    (_bad_family, "unknown map family 'bogus'"),
+    (_missing_key, "missing key 'gamma_sharp'"),
+    (_ragged_bank, "same number of units"),
+    (_mixed_activations, "one activation"),
+])
+def test_sample_bad_map_file_exits_2(tmp_path, capsys, corrupt, message):
+    doc = _maxpot_doc()
+    corrupt(doc)
+    path = write_config(tmp_path, doc, name="map.json")
+    out = os.path.join(tmp_path, "s.csv")
+    assert main(["sample", "--map", path, "--n", "5", "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert path in err and message in err
+    assert not os.path.exists(out)
+
+
+def test_sample_map_not_json_exits_2(tmp_path, capsys):
+    path = os.path.join(tmp_path, "map.json")
+    with open(path, "w") as fh:
+        fh.write("{not json")
+    assert main(["sample", "--map", path, "--n", "5", "--out", os.path.join(tmp_path, "s.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert path in err and "invalid JSON" in err

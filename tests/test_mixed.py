@@ -1,5 +1,7 @@
 """Semi-discrete and mean-field mixed transport maps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,14 @@ from otpost.mixed import (
     reference_dim,
     with_flat_params,
 )
+from otpost.potential import PotentialBank
 from otpost.rng import stream
+from tests.test_potential import unit_loop_grad
+
+
+def take_locals(bank, idx):
+    """A bank of the given local potentials of ``bank``, in the given order."""
+    return PotentialBank(bank.alpha[idx], bank.beta[idx], bank.w[idx], bank.v[idx], bank.activation)
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +55,7 @@ def test_embedding_validation():
 def test_push_mixed_ties_go_to_lowest_index():
     # two identical potentials, x1 = 0: scores tie, category 0 wins
     mp = random_semidiscrete_map(K=2, p=2, M=2, seed=1)
-    mp = SemiDiscreteMap(
-        embedding=mp.embedding, phis=(mp.phis[0], mp.phis[0]), kappa=1.0
-    )
+    mp = SemiDiscreteMap(embedding=mp.embedding, bank=take_locals(mp.bank, [0, 0]), kappa=1.0)
     tau, zeta = push_mixed(mp, np.zeros(2), np.array([0.3, -0.4]))
     assert tau == 0
 
@@ -61,23 +68,17 @@ def test_push_mixed_argmax_follows_x1():
         x1[k] = 50.0
         tau, zeta = push_mixed(mp, x1, x2)
         assert tau == k
-        from otpost.potential import local_grad
-
-        assert np.allclose(zeta, mp.kappa * local_grad(mp.phis[k], x2))
+        assert np.allclose(zeta, mp.kappa * unit_loop_grad(mp.bank, k, x2))
 
 
 def test_gmm_push_identical_grids_pass_gradient_through():
     # all potentials identical and kappa = 1/n: zeta equals one local gradient
     base = random_gmm_map(n_obs=4, K=2, d=2, M=2, seed=3)
-    row = base.phis[0][0]
-    grid = tuple(tuple(row for _ in range(2)) for _ in range(4))
-    mp = MeanFieldGmmMap(n_obs=4, K=2, d=2, phis=grid)
+    mp = MeanFieldGmmMap(n_obs=4, K=2, d=2, bank=take_locals(base.bank, [0] * 8))
     assert np.isclose(mp.kappa, 0.25)
     x2 = stream(4, 0).standard_normal(4)
     labels, zeta = gmm_push(mp, np.zeros(8), x2)
-    from otpost.potential import local_grad
-
-    assert np.allclose(zeta, local_grad(row, x2))
+    assert np.allclose(zeta, unit_loop_grad(base.bank, 0, x2))
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +111,9 @@ def test_conditional_prob_single_category_is_one():
 def test_conditional_prob_tracks_offset():
     # large value offset on category 1 pushes its probability toward 1
     mp = random_semidiscrete_map(K=2, p=2, M=2, seed=7)
-    from otpost.potential import ConvexUnit, LocalPotential, Activation
-
-    boosted = LocalPotential(
-        units=tuple(
-            ConvexUnit(alpha=u.alpha, beta=u.beta, w=u.w, v=u.v + 10.0,
-                       activation=u.activation)
-            for u in mp.phis[1].units
-        )
-    )
-    mp = SemiDiscreteMap(embedding=mp.embedding, phis=(mp.phis[0], boosted))
+    v = mp.bank.v.copy()
+    v[1] += 10.0
+    mp = SemiDiscreteMap(embedding=mp.embedding, bank=replace(mp.bank, v=v))
     val = conditional_prob_estimate(mp, 1, np.array([0.0, 0.0]), n_inner=256, seed=4)
     assert val > 0.95
 

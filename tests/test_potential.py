@@ -1,23 +1,22 @@
-"""Convex units, local potentials, max-potential maps, affine maps."""
+"""Potential banks, max-potential maps, affine maps."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
+from otpost.experiments import random_maxpot_map
 from otpost.potential import (
     Activation,
     AffineMap,
-    ConvexUnit,
-    LocalPotential,
     MaxPotentialMap,
+    PotentialBank,
     activation_antiderivative,
     activation_deriv,
     activation_second_deriv,
     activation_value,
-    local_grad,
-    local_hessian,
-    local_value,
     map_from_json,
     map_to_json,
     objective_sample,
@@ -30,27 +29,46 @@ from otpost.rng import stream
 from otpost.target import std_normal
 
 
-def random_unit(p, seed, activation=Activation.TANH):
+def random_unit(p, seed):
+    """(alpha, beta, w, v) of one unit, from the unit's own stream."""
     rg = stream(seed, 90)
-    return ConvexUnit(
-        alpha=rg.normal(0.0, 0.7, p),
-        beta=rg.normal(0.0, 0.7, p),
-        w=float(rg.normal()),
-        v=float(rg.normal()),
-        activation=activation,
-    )
+    return rg.normal(0.0, 0.7, p), rg.normal(0.0, 0.7, p), float(rg.normal()), float(rg.normal())
 
 
-def random_local(p, M, seed, activation=Activation.TANH):
-    return LocalPotential(
-        units=tuple(random_unit(p, seed + 7 * m, activation) for m in range(M))
-    )
+def random_bank(p, L, M, seed, activation=Activation.TANH):
+    units = [[random_unit(p, seed + 101 * k + 7 * m) for m in range(M)] for k in range(L)]
+    alpha, beta, w, v = (np.array([[u[f] for u in row] for row in units]) for f in range(4))
+    return PotentialBank(alpha, beta, w, v, activation)
 
 
 def random_map(p, L, M, seed, gamma=10.0, activation=Activation.TANH):
-    return MaxPotentialMap(
-        locals=tuple(random_local(p, M, seed + 101 * k, activation) for k in range(L)),
-        gamma_sharp=gamma,
+    return MaxPotentialMap(random_bank(p, L, M, seed, activation), gamma_sharp=gamma)
+
+
+# Reference values of local potential k at one point x, summed unit by unit.
+
+
+def unit_loop_value(bank, k, x):
+    return sum(
+        activation_antiderivative(bank.activation, x @ bank.alpha[k, m] + bank.w[k, m])
+        + x @ bank.beta[k, m] + bank.v[k, m]
+        for m in range(bank.M)
+    )
+
+
+def unit_loop_grad(bank, k, x):
+    return sum(
+        activation_value(bank.activation, x @ bank.alpha[k, m] + bank.w[k, m]) * bank.alpha[k, m]
+        + bank.beta[k, m]
+        for m in range(bank.M)
+    )
+
+
+def unit_loop_hessian(bank, k, x):
+    return sum(
+        activation_deriv(bank.activation, x @ bank.alpha[k, m] + bank.w[k, m])
+        * np.outer(bank.alpha[k, m], bank.alpha[k, m])
+        for m in range(bank.M)
     )
 
 
@@ -93,39 +111,42 @@ def test_activation_monotone_increasing(act):
 
 
 # ---------------------------------------------------------------------------
-# local potential derivatives
+# local potential derivatives, from the bank of a single local
 
 
 @pytest.mark.parametrize("act", list(Activation))
 def test_local_grad_matches_finite_difference(act):
     p, M = 3, 4
-    pot = random_local(p, M, seed=5, activation=act)
+    bank = random_bank(p, 1, M, seed=5, activation=act)
     rg = stream(11, 0)
     h = 1e-6
     for _ in range(10):
         x = rg.normal(0.0, 1.0, p)
-        g = local_grad(pot, x)
+        g = bank.grads(x[None])[0, 0]
+        assert np.allclose(g, unit_loop_grad(bank, 0, x), rtol=1e-12, atol=1e-12)
+        assert np.isclose(bank.values(x[None])[0, 0], unit_loop_value(bank, 0, x), rtol=1e-12, atol=1e-12)
         fd = np.empty(p)
         for j in range(p):
-            e = np.zeros(p)
-            e[j] = h
-            fd[j] = (local_value(pot, x + e) - local_value(pot, x - e)) / (2 * h)
+            e = np.zeros((1, p))
+            e[0, j] = h
+            fd[j] = (bank.values(x + e) - bank.values(x - e))[0, 0] / (2 * h)
         assert np.max(np.abs(fd - g) / (1.0 + np.abs(g))) <= 1e-5
 
 
 def test_local_hessian_matches_finite_difference():
     p, M = 3, 4
-    pot = random_local(p, M, seed=6)
+    bank = random_bank(p, 1, M, seed=6)
     rg = stream(12, 0)
     h = 1e-5
     for _ in range(5):
         x = rg.normal(0.0, 1.0, p)
-        H = local_hessian(pot, x)
+        H = bank.hessians(x[None])[0, 0]
+        assert np.allclose(H, unit_loop_hessian(bank, 0, x), rtol=1e-12, atol=1e-12)
         fd = np.empty((p, p))
         for j in range(p):
-            e = np.zeros(p)
-            e[j] = h
-            fd[:, j] = (local_grad(pot, x + e) - local_grad(pot, x - e)) / (2 * h)
+            e = np.zeros((1, p))
+            e[0, j] = h
+            fd[:, j] = (bank.grads(x + e) - bank.grads(x - e))[0, 0] / (2 * h)
         assert np.max(np.abs(fd - H)) <= 1e-4
         # symmetric positive semidefinite
         assert np.allclose(H, H.T)
@@ -134,15 +155,13 @@ def test_local_hessian_matches_finite_difference():
 
 def test_local_potential_is_convex():
     p, M = 4, 3
-    pot = random_local(p, M, seed=7)
+    bank = random_bank(p, 1, M, seed=7)
     rg = stream(13, 0)
     X = rg.normal(0.0, 2.0, (1000, p))
     Y = rg.normal(0.0, 2.0, (1000, p))
     lam = rg.random(1000)
     mid = lam[:, None] * X + (1 - lam[:, None]) * Y
-    ux = np.array([local_value(pot, x) for x in X])
-    uy = np.array([local_value(pot, y) for y in Y])
-    um = np.array([local_value(pot, m) for m in mid])
+    ux, uy, um = (bank.values(P)[:, 0] for P in (X, Y, mid))
     assert np.all(um <= lam * ux + (1 - lam) * uy + 1e-9)
 
 
@@ -156,9 +175,9 @@ def test_transport_hard_picks_argmax_local():
     for _ in range(20):
         x = rg.normal(0.0, 1.5, 2)
         value, k = transport_hard(mp, x)
-        vals = [local_value(lp, x) for lp in mp.locals]
+        vals = [unit_loop_value(mp.bank, j, x) for j in range(mp.n_locals)]
         assert k == int(np.argmax(vals))
-        assert np.allclose(value, local_grad(mp.locals[k], x))
+        assert np.allclose(value, unit_loop_grad(mp.bank, k, x))
 
 
 def test_transport_smooth_approaches_hard_for_large_gamma():
@@ -171,13 +190,14 @@ def test_transport_smooth_approaches_hard_for_large_gamma():
         assert np.max(np.abs(hard - smooth)) <= 1e-2
 
 
-def test_two_point_monotonicity_hard_and_smooth():
-    mp = random_map(3, 2, 3, seed=23)
-    rg = stream(16, 0)
-    X = rg.normal(0.0, 2.0, (1000, 3))
-    Y = rg.normal(0.0, 2.0, (1000, 3))
-    tx_h = np.array([transport_hard(mp, x)[0] for x in X])
-    ty_h = np.array([transport_hard(mp, y)[0] for y in Y])
+@given(p=hst.sampled_from([2, 3, 5]), seed=hst.integers(0, 2**16))
+def test_two_point_monotonicity_hard_and_smooth(p, seed):
+    mp = random_maxpot_map(3, 16, p, seed)
+    rg = stream(16, seed)
+    X = rg.normal(0.0, 2.0, (1000, p))
+    Y = rg.normal(0.0, 2.0, (1000, p))
+    tx_h = transport_hard(mp, X)[0]
+    ty_h = transport_hard(mp, Y)[0]
     assert np.all(np.sum((tx_h - ty_h) * (X - Y), axis=1) >= -1e-9)
     tx_s = smooth_batch(mp, X)[0]
     ty_s = smooth_batch(mp, Y)[0]
@@ -291,4 +311,4 @@ def test_affine_validation_errors():
     with pytest.raises(ValueError):
         AffineMap(m=np.zeros(2), chol_factor=np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(ValueError):
-        MaxPotentialMap(locals=(), gamma_sharp=10.0)
+        PotentialBank(np.zeros((0, 1, 2)), np.zeros((0, 1, 2)), np.zeros((0, 1)), np.zeros((0, 1)))
