@@ -339,6 +339,7 @@ def cmd_metrics(args):
 
     from . import metrics
     from .samples import SampleMatrix
+    from .trainer import SinkhornNonConvergence
 
     A = SampleMatrix.from_csv(args.a)
     B = SampleMatrix.from_csv(args.b)
@@ -348,7 +349,10 @@ def cmd_metrics(args):
     elif args.metric == "w2eps":
         if eps is None:
             raise ConfigError("--metric w2eps requires --epsilon")
-        value = metrics.w2_entropic(A, B, eps)
+        try:
+            value = metrics.w2_entropic(A, B, eps)
+        except SinkhornNonConvergence as e:
+            raise NumericalError(f"w2eps: {e}")
     elif args.metric == "tv":
         cols_a, cols_b = A.tau_columns() or [0], B.tau_columns() or [0]
         ha = np.bincount(A.data[:, cols_a].astype(int).ravel())

@@ -417,23 +417,25 @@ def run_sparse_logistic(out_dir=None, seed=31, n=1000, p=10, rho=0.5,
 
 
 def _match_orthant_offsets(pi, iters=60):
-    """Offsets v (K,) such that P(argmax_k x_k + v_k = k) matches pi for
-    x ~ N(0, I_K); fixed point on log probabilities via Gauss-Hermite."""
+    """Offsets v (n, K) such that P(argmax_k x_k + v_ik = k) matches pi[i]
+    for x ~ N(0, I_K), for every row of the marginals pi (n, K); fixed
+    point on log probabilities via Gauss-Hermite, all rows at once."""
     from numpy.polynomial.hermite_e import hermegauss
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
-    K = pi.shape[0]
+    K = pi.shape[1]
     nodes, weights = hermegauss(40)
     weights = weights / weights.sum()
-    v = np.log(np.maximum(pi, 1e-12))
-    v -= v.max()
+    # others[k]: the K - 1 labels that label k must beat
+    others = np.array([np.delete(np.arange(K), k) for k in range(K)], dtype=int)
+    log_pi = np.log(np.maximum(pi, 1e-12))
+    v = log_pi - log_pi.max(axis=1, keepdims=True)
     for _ in range(iters):
-        probs = np.empty(K)
-        for k in range(K):
-            t = nodes[:, None] + v[k] - np.delete(v, k)[None, :]
-            probs[k] = weights @ np.prod(norm.cdf(t), axis=1)
-        v += np.log(np.maximum(pi, 1e-12)) - np.log(np.maximum(probs, 1e-12))
-        v -= v.max()
+        # t[i, k, q, j] = node q + v_ik - v_i,others[k, j]
+        t = (nodes[:, None] + v[:, :, None, None]) - v[:, others][:, :, None, :]
+        probs = np.prod(ndtr(t), axis=3) @ weights
+        v += log_pi - np.log(np.maximum(probs, 1e-12))
+        v -= v.max(axis=1, keepdims=True)
     return v, probs
 
 
@@ -467,7 +469,7 @@ def informed_gmm_map(data, prior: GmmPrior, K, label_marginals, mean_sd,
     for k in range(K):
         lin[:, k, k * d : (k + 1) * d] = data / sig2 / prec[k]
     lin += np.concatenate([m0 / lam2 / prec[b] for b in range(K)]) / n
-    offsets = np.array([_match_orthant_offsets(label_marginals[i])[0] for i in range(n)])
+    offsets = _match_orthant_offsets(label_marginals)[0]
     n_units = curv.shape[0] + 1
     alpha = np.zeros((n * K, n_units, p))
     alpha[:, :-1] = curv

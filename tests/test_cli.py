@@ -121,6 +121,21 @@ def test_metrics_w2eps_requires_epsilon(tmp_path, trained_map, capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+def test_metrics_w2eps_nonconvergence_exits_3(tmp_path, capsys):
+    from otpost.samples import SampleMatrix
+
+    rg = np.random.default_rng(5)
+    paths = []
+    for name, shift in (("a.csv", 0.0), ("b.csv", 3.0)):
+        path = os.path.join(tmp_path, name)
+        SampleMatrix.continuous(rg.standard_normal((50, 2)) + shift).to_csv(path)
+        paths.append(path)
+    argv = ["metrics", "--metric", "w2eps", "--a", paths[0], "--b", paths[1]]
+    assert main(argv + ["--epsilon", "1e-4"]) == EXIT_NUMERICAL
+    assert "did not converge" in capsys.readouterr().err
+    assert main(argv + ["--epsilon", "1.0"]) == EXIT_OK
+
+
 def test_quantiles_emits_three_contours_and_svg(tmp_path, trained_map):
     qdir = os.path.join(tmp_path, "q")
     assert main([

@@ -130,3 +130,32 @@ def test_metric_report_fields():
     assert doc == {"metric": "w2", "value": 0.25, "n": 100, "seed": 7, "epsilon": 0.5}
     doc2 = json.loads(metric_report("tv", 0.1, n=10))
     assert "seed" not in doc2 and "epsilon" not in doc2
+
+
+def test_w2_entropic_large_clouds_stay_float32():
+    # 2001 x 2001 entries take the large-cloud solver. A float64 n x m array
+    # next to the float32 cost matrix and work buffer would lift the peak to
+    # four float32 n x m arrays or more.
+    import tracemalloc
+
+    from otpost.metrics import _BIG_ENTRIES, _ot_entropic_big, _sqdist32
+    from otpost.trainer import _ot_entropic
+
+    n = 2001
+    assert n * n > _BIG_ENTRIES
+    rg = stream(66, 0)
+    A = rg.standard_normal((n, 2))
+    B = rg.standard_normal((n, 2)) + 1.0
+    tracemalloc.start()
+    try:
+        w2_entropic(A, B, epsilon=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 4 * n * n
+    C = _sqdist32(A, B)
+    assert C.dtype == np.float32
+    big, viol = _ot_entropic_big(C, 1.0, final_iters=3000, scale_start=float(C.max()) / 8.0)
+    assert viol <= 1e-3
+    ref = _ot_entropic(A, B, 1.0, iters=200, tol=1e-7)[0]
+    assert abs(big - ref) <= 1e-3 * abs(ref)

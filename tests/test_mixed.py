@@ -260,3 +260,47 @@ def test_mixed_map_json_round_trip():
     assert isinstance(gm2, MeanFieldGmmMap)
     assert np.array_equal(flat_params(gm), flat_params(gm2))
     assert (gm2.n_obs, gm2.K, gm2.d) == (3, 2, 2)
+
+
+def orthant_offsets_one_row(pi, iters=60):
+    """Per-row reference: the scalar fixed point of one row of marginals."""
+    from numpy.polynomial.hermite_e import hermegauss
+    from scipy.stats import norm
+
+    K = pi.shape[0]
+    nodes, weights = hermegauss(40)
+    weights = weights / weights.sum()
+    v = np.log(np.maximum(pi, 1e-12))
+    v -= v.max()
+    for _ in range(iters):
+        probs = np.empty(K)
+        for k in range(K):
+            t = nodes[:, None] + v[k] - np.delete(v, k)[None, :]
+            probs[k] = weights @ np.prod(norm.cdf(t), axis=1)
+        v += np.log(np.maximum(pi, 1e-12)) - np.log(np.maximum(probs, 1e-12))
+        v -= v.max()
+    return v, probs
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_match_orthant_offsets_batched_matches_rows(K):
+    from otpost.experiments import _match_orthant_offsets
+
+    rg = np.random.default_rng(K)
+    pi = rg.dirichlet(np.full(K, 3.0), size=12)
+    # rows gmm posteriors often give: a certain label, a tie, a two-way split
+    pi[0] = np.eye(K)[0]
+    pi[1] = np.full(K, 1.0 / K)
+    pi[2] = np.eye(K)[0] * 0.7 + np.eye(K)[1] * 0.3
+    v, probs = _match_orthant_offsets(pi)
+    assert v.shape == probs.shape == (12, K)
+    for i in range(12):
+        v_i, probs_i = orthant_offsets_one_row(pi[i])
+        np.testing.assert_allclose(v[i], v_i, rtol=0, atol=1e-5)
+        np.testing.assert_allclose(probs[i], probs_i, rtol=0, atol=1e-5)
+    np.testing.assert_allclose(probs, pi, rtol=0, atol=1e-4)
+    # the offsets reproduce pi for the Gaussian argmax they are built for
+    x = rg.standard_normal((200_000, K))
+    for i in range(2, 6):
+        hits = np.bincount(np.argmax(x + v[i], axis=1), minlength=K) / x.shape[0]
+        np.testing.assert_allclose(hits, pi[i], rtol=0, atol=0.005)
