@@ -77,27 +77,14 @@ def sample(map, N: int, seed: int) -> SampleMatrix:
         X = rg.standard_normal((N, map.dim))
         return SampleMatrix.continuous(_push_hard(map, X).reshape(N, map.dim))
     if isinstance(map, SemiDiscreteMap):
-        r, p = map.embedding.r, map.phi_dim
-        X = rg.standard_normal((N, r + p))
-        taus = np.empty((N, 1))
-        zetas = np.empty((N, p))
-        for i in range(N):
-            taus[i, 0], zetas[i] = push_mixed(map, X[i, :r], X[i, r:])
-        out = SampleMatrix.mixed(taus, zetas)
-        if N == 0:
-            out.data = np.empty((0, 1 + p))
-        return out
+        r = map.embedding.r
+        X = rg.standard_normal((N, r + map.phi_dim))
+        taus, zetas = push_mixed(map, X[:, :r], X[:, r:])
+        return SampleMatrix.mixed(taus[:, None], zetas)
     if isinstance(map, MeanFieldGmmMap):
-        n, p = map.n_obs, map.phi_dim
-        X = rg.standard_normal((N, n * map.K + p))
-        taus = np.empty((N, n))
-        zetas = np.empty((N, p))
-        for i in range(N):
-            taus[i], zetas[i] = gmm_push(map, X[i, : n * map.K], X[i, n * map.K :])
-        out = SampleMatrix.mixed(taus, zetas)
-        if N == 0:
-            out.data = np.empty((0, n + p))
-        return out
+        nK = map.n_obs * map.K
+        X = rg.standard_normal((N, nK + map.phi_dim))
+        return SampleMatrix.mixed(*gmm_push(map, X[:, :nK], X[:, nK:]))
     raise TypeError(f"cannot sample from {type(map).__name__}")
 
 

@@ -158,32 +158,90 @@ class MixedTarget:
 # ---------------------------------------------------------------------------
 # pushes
 
+# Row chunks of a batched push hold at most this many pre-activations
+# (rows x L x M). One 1000-draw batch of a 300-observation, 3-label gmm map
+# would otherwise need a 94 MB block; budgets of 2**15 to 2**17 push equally
+# fast on one core, and larger blocks are slower because memory-bound.
+PUSH_CHUNK_ELEMENTS = 2**16
+
+
+def _push_rows(bank: PotentialBank, offsets, X2, n_groups: int):
+    """Per-group argmax winners and their summed gradients, in row chunks.
+
+    The L locals form ``n_groups`` consecutive groups of equal size; row b
+    of group i scores local l by ``offsets[b, l] + u_l(X2[b])``, and ties go
+    to the lowest index. Returns the winners (B, n_groups), as indices
+    within their group, and the sum over groups of the winning gradients
+    (B, p). The activation is evaluated at the winning locals only.
+    """
+    B = X2.shape[0]
+    L, M, p = bank.L, bank.M, bank.p
+    K = L // n_groups
+    alpha = bank.alpha.reshape(L * M, p)
+    first = K * np.arange(n_groups)
+    winners = np.empty((B, n_groups), dtype=int)
+    gsum = np.empty((B, p))
+    step = max(1, PUSH_CHUNK_ELEMENTS // (L * M))
+    for lo in range(0, B, step):
+        X = X2[lo : lo + step]
+        rows = np.arange(X.shape[0])[:, None]
+        s = bank.pre(X)
+        scores = offsets[lo : lo + step] + bank.values(X, s)
+        win = np.argmax(scores.reshape(-1, n_groups, K), axis=2)
+        idx = first + win  # (rows, n_groups) local indices
+        phi = np.zeros_like(s)
+        phi[rows, idx] = activation_value(bank.activation, s[rows, idx])
+        mask = np.zeros(scores.shape)  # one-hot winners, for the beta sums
+        mask[rows, idx] = 1.0
+        gsum[lo : lo + step] = phi.reshape(-1, L * M) @ alpha + mask @ bank.beta_sum
+        winners[lo : lo + step] = win
+    return winners, gsum
+
 
 def push_mixed(map: SemiDiscreteMap, x1, x2):
-    """(tau, zeta) for a single reference point; ties go to the lowest index."""
+    """(tau, zeta) for one reference point or a batch; ties go to the lowest index.
+
+    One point x1 (r,), x2 (p,) gives an int tau and zeta (p,); a batch
+    x1 (B, r), x2 (B, p) gives tau (B,) and zeta (B, p). Rows are pushed in
+    chunks of at most ``PUSH_CHUNK_ELEMENTS`` pre-activations, so the memory
+    beyond the inputs and outputs does not grow with B.
+    """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    if x1.shape != (map.embedding.r,) or x2.shape != (map.phi_dim,):
+    single = x2.ndim == 1
+    X1, X2 = np.atleast_2d(x1), np.atleast_2d(x2)
+    if (
+        x1.ndim != x2.ndim
+        or X2.shape[1:] != (map.phi_dim,)
+        or X1.shape != (X2.shape[0], map.embedding.r)
+    ):
         raise ValueError("dimension mismatch")
-    X2 = x2[None, :]
-    s = map.bank.pre(X2)
-    tau = int(np.argmax(map.embedding.vectors @ x1 + map.bank.values(X2, s)[0]))
-    zeta = map.kappa * map.bank.grads(X2, s)[0, tau]
+    tau, gsum = _push_rows(map.bank, X1 @ map.embedding.vectors.T, X2, 1)
+    tau, zeta = tau[:, 0], map.kappa * gsum
+    if single:
+        return int(tau[0]), zeta[0]
     return tau, zeta
 
 
 def gmm_push(map: MeanFieldGmmMap, x1_blocks, x2):
-    """Per-observation labels and the averaged continuous part."""
-    x1 = np.asarray(x1_blocks, dtype=float).reshape(map.n_obs, map.K)
+    """Per-observation labels and the averaged continuous part.
+
+    One point x1_blocks (n_obs K,) or (n_obs, K), x2 (p,) gives labels
+    (n_obs,) and zeta (p,); a batch x1_blocks (B, n_obs K), x2 (B, p) gives
+    labels (B, n_obs) and zeta (B, p). Rows are pushed in chunks of at most
+    ``PUSH_CHUNK_ELEMENTS`` pre-activations, so the memory beyond the inputs
+    and outputs does not grow with B.
+    """
     x2 = np.asarray(x2, dtype=float)
-    if x2.shape != (map.phi_dim,):
+    single = x2.ndim == 1
+    X2 = np.atleast_2d(x2)
+    if X2.ndim != 2 or X2.shape[1] != map.phi_dim:
         raise ValueError("dimension mismatch")
-    X2 = x2[None, :]
-    s = map.bank.pre(X2)
-    vals = map.bank.values(X2, s)[0].reshape(map.n_obs, map.K)
-    labels = np.argmax(x1 + vals, axis=1)
-    grads = map.bank.grads(X2, s)[0].reshape(map.n_obs, map.K, -1)
-    zeta = map.kappa * grads[np.arange(map.n_obs), labels].sum(axis=0)
+    X1 = np.asarray(x1_blocks, dtype=float).reshape(X2.shape[0], map.n_obs * map.K)
+    labels, gsum = _push_rows(map.bank, X1, X2, map.n_obs)
+    zeta = map.kappa * gsum
+    if single:
+        return labels[0], zeta[0]
     return labels, zeta
 
 
@@ -192,16 +250,19 @@ def mixed_logdet(map, tau, x2) -> float:
 
     Equals p*log(kappa) + log det of the winning Hessian (summed over
     observations for the mean-field map); the label block contributes no
-    volume. Raises SingularJacobian on a non-positive-definite Hessian.
+    volume. Only the winning locals' Hessians are formed. Raises
+    SingularJacobian on a non-positive-definite Hessian.
     """
     x2 = np.asarray(x2, dtype=float)
     p = map.phi_dim
-    hess = map.bank.hessians(x2[None, :])[0]  # (L, p, p)
+    bank = map.bank
     if isinstance(map, SemiDiscreteMap):
-        H = hess[int(tau)]
+        win = np.array([int(tau)])
     else:
-        labels = np.asarray(tau, dtype=int)
-        H = hess.reshape(map.n_obs, map.K, p, p)[np.arange(map.n_obs), labels].sum(axis=0)
+        win = map.K * np.arange(map.n_obs) + np.asarray(tau, dtype=int)
+    A = bank.alpha[win].reshape(-1, p)  # (winners x M, p)
+    dphi = activation_deriv(bank.activation, A @ x2 + bank.w[win].ravel())
+    H = (dphi[:, None] * A).T @ A
     sign, logdet = np.linalg.slogdet(H)
     if sign <= 0:
         raise SingularJacobian(x2)

@@ -19,6 +19,7 @@ import numpy as np
 from .potential import (
     AffineMap,
     MaxPotentialMap,
+    SingularJacobian,
     objective_batch,
     param_grad_detail,
     smooth_batch,
@@ -130,6 +131,9 @@ class TrainReport:
     final_iter: int = 0
     wall_time_seconds: float = 0.0
     aborted: bool = False
+    # why the loop ended: "max_iters", "variance" (the variance stopping
+    # rule fired) or "aborted" (non-finite objective or gradient)
+    stop_reason: str = "max_iters"
 
     def to_json(self) -> str:
         return json.dumps(
@@ -140,6 +144,7 @@ class TrainReport:
                 "final_iter": self.final_iter,
                 "wall_time_seconds": self.wall_time_seconds,
                 "aborted": self.aborted,
+                "stop_reason": self.stop_reason,
             },
             indent=2,
         )
@@ -367,10 +372,12 @@ def _run_adam(theta, grad_fn, config: TrainConfig):
         report.skipped_singular += skipped
         if not np.isfinite(obj) or not np.all(np.isfinite(grad)):
             report.aborted = True
+            report.stop_reason = "aborted"
             break
         theta = theta + opt.step(-grad)  # ascent
         streak, done = _variance_stop(report.variance_trace, config.stop, streak)
         if done:
+            report.stop_reason = "variance"
             break
     report.final_iter = len(report.objective_trace)
     report.wall_time_seconds = time.perf_counter() - t0
@@ -389,7 +396,9 @@ def train(map: MaxPotentialMap, target: TargetDensity, config: TrainConfig):
         m = cur.with_flat_params(theta)
         try:
             return param_grad_detail(m, target, X, jitter=config.jitter)
-        except Exception:
+        except (SingularJacobian, np.linalg.LinAlgError):
+            # every row singular, or an inverse that failed: a NaN step,
+            # which ends training as aborted
             return np.full(theta.size, np.nan), np.full(X.shape[0], np.nan), X.shape[0]
 
     grad_fn.input_dim = map.dim

@@ -1,13 +1,15 @@
 """End-to-end acceptance runs. One printed pass/fail line per criterion.
 
 These tests execute the full experiment pipelines and therefore dominate
-the suite's runtime; run `pytest -k "not acceptance"` for the fast suites.
+the suite's runtime. All of them carry the ``acceptance`` marker; run
+`pytest -m "not acceptance"` for the fast suites.
 """
 
 import itertools
 import time
 
 import numpy as np
+import pytest
 from scipy.stats import kstest
 
 from otpost import experiments, inference, metrics, trainer
@@ -22,6 +24,8 @@ from otpost.rng import stream
 from otpost.target import TargetDensity, std_normal
 from tests import conftest
 from tests.test_potential import random_map, unit_loop_value
+
+pytestmark = pytest.mark.acceptance
 
 # entropic-W2 regularization per experiment, calibrated at N=10,000
 TWOBALL_EPS = 60.0

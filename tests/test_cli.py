@@ -72,7 +72,8 @@ def test_train_aborted_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "training aborted at iteration" in err and "non-finite" in err
     with open(os.path.join(tmp_path, "ab", "report.json")) as fh:
-        assert json.load(fh)["aborted"] is True
+        doc = json.load(fh)
+    assert doc["aborted"] is True and doc["stop_reason"] == "aborted"
     assert not os.path.exists(os.path.join(tmp_path, "ab", "map.json"))
 
 

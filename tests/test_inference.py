@@ -241,6 +241,47 @@ def test_sample_mixed_map_layout():
     assert set(taus.astype(int)) <= {0, 1, 2}
 
 
+@pytest.mark.parametrize("N", [0, 1, 23])
+def test_sample_mixed_maps_chunked_match_rows(N):
+    # a budget of 7 rows per chunk: 23 draws end in a partial chunk
+    from unittest import mock
+
+    from otpost import mixed
+    from tests.test_mixed import gmm_push_rows, push_mixed_rows
+
+    sd = mixed.random_semidiscrete_map(K=3, p=2, M=3, seed=56)
+    gm = mixed.random_gmm_map(n_obs=4, K=3, d=2, M=2, seed=57)
+    for mp, push_rows, r, n_tau in ((sd, push_mixed_rows, 3, 1), (gm, gmm_push_rows, 12, 4)):
+        with mock.patch.object(mixed, "PUSH_CHUNK_ELEMENTS", 7 * mp.bank.L * mp.bank.M):
+            s = sample(mp, N, seed=12)
+        X = stream(12, 0).standard_normal((N, r + mp.phi_dim))
+        taus, zetas = push_rows(mp, X[:, :r], X[:, r:])
+        taus = taus.reshape(N, n_tau)
+        assert s.data.shape == (N, n_tau + mp.phi_dim)
+        assert np.array_equal(s.data[:, s.tau_columns()], taus)
+        np.testing.assert_allclose(s.data[:, s.zeta_columns()], zetas, rtol=0, atol=1e-12)
+
+
+def test_sample_gmm_peak_memory_is_chunked():
+    # Unchunked, the 2000 x 900 x 4 pre-activations alone take 58 MB. The
+    # peak may hold the reference draws, the labels as int and as float and
+    # the output matrix, plus row-chunk temporaries of fixed size.
+    import tracemalloc
+
+    from otpost.mixed import random_gmm_map
+
+    mp = random_gmm_map(n_obs=300, K=3, d=2, M=4, seed=58)
+    N = 2000
+    tracemalloc.start()
+    try:
+        out = sample(mp, N, seed=13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    draws_bytes = N * (300 * 3 + mp.phi_dim) * 8
+    assert peak <= draws_bytes + 3 * out.data.nbytes + 2**22
+
+
 def test_contour_csv_round_trip(tmp_path):
     c = quantile_contour(shifted_map(), 0.5, 64, seed=0)
     path = os.path.join(tmp_path, "c.csv")

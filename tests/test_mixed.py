@@ -1,9 +1,12 @@
 """Semi-discrete and mean-field mixed transport maps."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from otpost import mixed, trainer
 from otpost.mixed import (
@@ -81,6 +84,100 @@ def test_gmm_push_identical_grids_pass_gradient_through():
     assert np.allclose(zeta, unit_loop_grad(base.bank, 0, x2))
 
 
+def push_mixed_rows(map, X1, X2):
+    """Per-row reference: all local values and gradients of one row, then
+    the winner's gradient."""
+    taus, zetas = [], []
+    for x1, x2 in zip(X1, X2):
+        tau = int(np.argmax(map.embedding.vectors @ x1 + map.bank.values(x2[None])[0]))
+        taus.append(tau)
+        zetas.append(map.kappa * map.bank.grads(x2[None])[0, tau])
+    return np.array(taus, dtype=int), np.array(zetas).reshape(len(taus), map.phi_dim)
+
+
+def gmm_push_rows(map, X1, X2):
+    """Per-row reference: all local values and gradients of one row, then
+    the sum of the winners' gradients."""
+    n, K = map.n_obs, map.K
+    labels, zetas = [], []
+    for x1, x2 in zip(X1, X2):
+        vals = map.bank.values(x2[None])[0].reshape(n, K)
+        lab = np.argmax(x1.reshape(n, K) + vals, axis=1)
+        grads = map.bank.grads(x2[None])[0].reshape(n, K, -1)
+        labels.append(lab)
+        zetas.append(map.kappa * grads[np.arange(n), lab].sum(axis=0))
+    return np.array(labels, dtype=int).reshape(-1, n), np.array(zetas).reshape(-1, map.phi_dim)
+
+
+@given(
+    n_obs=hst.integers(1, 6), K=hst.sampled_from([2, 3]), d=hst.integers(1, 3),
+    M=hst.integers(1, 4), seed=hst.integers(0, 2**16), B=hst.integers(1, 40),
+    chunk_rows=hst.integers(1, 9),
+)
+def test_gmm_push_batch_matches_rows(n_obs, K, d, M, seed, B, chunk_rows):
+    mp = random_gmm_map(n_obs, K, d, M, seed)
+    rg = stream(seed, 1)
+    X1 = rg.standard_normal((B, n_obs * K))
+    X2 = 2.0 * rg.standard_normal((B, K * d))
+    # a budget of chunk_rows rows per chunk, so most batches span several
+    with mock.patch.object(mixed, "PUSH_CHUNK_ELEMENTS", chunk_rows * mp.bank.L * M):
+        labels, zeta = gmm_push(mp, X1, X2)
+    want_labels, want_zeta = gmm_push_rows(mp, X1, X2)
+    assert labels.shape == (B, n_obs) and zeta.shape == (B, K * d)
+    assert np.array_equal(labels, want_labels)
+    np.testing.assert_allclose(zeta, want_zeta, rtol=0, atol=1e-12)
+
+
+@given(
+    K=hst.integers(3, 5), p=hst.integers(1, 4), M=hst.integers(1, 4),
+    seed=hst.integers(0, 2**16), B=hst.integers(1, 40), chunk_rows=hst.integers(1, 9),
+)
+def test_push_mixed_batch_matches_rows(K, p, M, seed, B, chunk_rows):
+    mp = random_semidiscrete_map(K, p, M, seed, kappa=0.7)
+    rg = stream(seed, 2)
+    X1 = rg.standard_normal((B, K))
+    X2 = 2.0 * rg.standard_normal((B, p))
+    with mock.patch.object(mixed, "PUSH_CHUNK_ELEMENTS", chunk_rows * K * M):
+        tau, zeta = push_mixed(mp, X1, X2)
+    want_tau, want_zeta = push_mixed_rows(mp, X1, X2)
+    assert tau.shape == (B,) and zeta.shape == (B, p)
+    assert np.array_equal(tau, want_tau)
+    np.testing.assert_allclose(zeta, want_zeta, rtol=0, atol=1e-12)
+
+
+def test_single_point_pushes_keep_their_shapes():
+    sd = random_semidiscrete_map(K=3, p=2, M=2, seed=24)
+    tau, zeta = push_mixed(sd, np.zeros(3), np.array([0.3, -0.1]))
+    assert isinstance(tau, int) and zeta.shape == (2,)
+    gm = random_gmm_map(n_obs=4, K=3, d=2, M=2, seed=25)
+    x2 = stream(25, 1).standard_normal(6)
+    for x1 in (np.zeros(12), np.zeros((4, 3))):
+        labels, zeta = gmm_push(gm, x1, x2)
+        assert labels.shape == (4,) and zeta.shape == (6,)
+        assert np.issubdtype(labels.dtype, np.integer)
+    with pytest.raises(ValueError):
+        push_mixed(sd, np.zeros(3), np.zeros((5, 2)))
+    with pytest.raises(ValueError):
+        gmm_push(gm, np.zeros(12), np.zeros(5))
+
+
+def test_batched_pushes_send_ties_to_lowest_index():
+    sd = random_semidiscrete_map(K=3, p=2, M=2, seed=26)
+    sd = SemiDiscreteMap(embedding=sd.embedding, bank=take_locals(sd.bank, [1, 1, 1]))
+    X1 = np.zeros((5, 3))
+    X1[3, 2] = 1.0  # one row breaks the tie toward category 2
+    tau, _ = push_mixed(sd, X1, stream(26, 1).standard_normal((5, 2)))
+    assert tau.tolist() == [0, 0, 0, 2, 0]
+    base = random_gmm_map(n_obs=3, K=3, d=1, M=2, seed=27)
+    gm = MeanFieldGmmMap(n_obs=3, K=3, d=1, bank=take_locals(base.bank, [4] * 9))
+    X1 = np.zeros((4, 9))
+    X1[1, 5] = 1.0  # observation 1 of row 1 takes label 2
+    labels, _ = gmm_push(gm, X1, stream(27, 1).standard_normal((4, 3)))
+    want = np.zeros((4, 3), dtype=int)
+    want[1, 1] = 2
+    assert np.array_equal(labels, want)
+
+
 # ---------------------------------------------------------------------------
 # log-determinant and conditional probability
 
@@ -100,6 +197,20 @@ def test_mixed_logdet_matches_numerical_jacobian():
         J[:, j] = (zp - zm) / (2 * h)
     want = np.log(abs(np.linalg.det(J)))
     assert abs(mixed_logdet(mp, tau, x2) - want) <= 1e-6
+
+
+@given(n_obs=hst.integers(1, 5), K=hst.sampled_from([2, 3]), seed=hst.integers(0, 2**16))
+def test_mixed_logdet_matches_all_local_hessians(n_obs, K, seed):
+    # reference: every local's Hessian, then the winners' sum; 2K + 1 units
+    # make each local's Hessian positive definite
+    mp = random_gmm_map(n_obs, K, 2, 2 * K + 1, seed)
+    rg = stream(seed, 3)
+    x1, x2 = rg.standard_normal(n_obs * K), rg.standard_normal(2 * K)
+    labels, _ = gmm_push(mp, x1, x2)
+    hess = mp.bank.hessians(x2[None])[0].reshape(n_obs, K, 2 * K, 2 * K)
+    H = hess[np.arange(n_obs), labels].sum(axis=0)
+    want = 2 * K * np.log(mp.kappa) + np.linalg.slogdet(H)[1]
+    assert abs(mixed_logdet(mp, labels, x2) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_conditional_prob_single_category_is_one():

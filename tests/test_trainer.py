@@ -156,6 +156,7 @@ def test_train_improves_objective_on_gaussian():
     mp2, rep = train(mp, tgt, cfg)
     assert rep.final_iter == 300
     assert not rep.aborted
+    assert rep.stop_reason == "max_iters"
     first = np.mean(rep.objective_trace[:20])
     last = np.mean(rep.objective_trace[-20:])
     assert last > first
@@ -172,6 +173,7 @@ def test_variance_stopping_halts_early():
     _, rep = train_affine(tgt, cfg, init=amap)
     assert rep.final_iter < 500
     assert rep.final_iter >= 10 + 3 - 1
+    assert rep.stop_reason == "variance"
 
 
 def test_train_report_and_config_json_round_trip():
@@ -191,6 +193,21 @@ def test_train_report_and_config_json_round_trip():
     doc = json.loads(rep.to_json())
     assert len(doc["objective_trace"]) == 3
     assert len(doc["variance_trace"]) == 3
+    assert doc["stop_reason"] == "max_iters"
+
+
+def test_train_raises_a_bug_in_the_target():
+    # only numerical failures become an aborted run; a broken score raises
+    from otpost.target import TargetDensity
+
+    def score(x):
+        raise TypeError("broken score")
+
+    base = std_normal(2)
+    tgt = TargetDensity(dim=2, log_unnorm=base.log_unnorm, score=score)
+    cfg = TrainConfig(batch_size=16, max_iters=5, learning_rate=1e-3, seed=2)
+    with pytest.raises(TypeError, match="broken score"):
+        train(random_map(2, 1, 4, seed=43), tgt, cfg)
 
 
 def test_training_is_deterministic_by_seed():
