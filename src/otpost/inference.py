@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtr, chdtrc
-from scipy.stats import chi2
+from scipy.special import chdtr, chdtrc, gammaincinv
 
 from .mixed import MeanFieldGmmMap, SemiDiscreteMap, gmm_push, push_mixed
 from .potential import AffineMap, MaxPotentialMap, transport_hard
@@ -91,7 +90,9 @@ def sample(map, N: int, seed: int) -> SampleMatrix:
 def contour_radius(q: float, p: int) -> float:
     if not 0 < q < 1:
         raise ValueError("q must be in (0, 1)")
-    return float(np.sqrt(chi2.ppf(q, df=p)))
+    # the chi-square quantile as scipy.stats.chi2.ppf computes it, without
+    # importing scipy.stats
+    return float(np.sqrt(2.0 * gammaincinv(p / 2.0, q)))
 
 
 def quantile_contour(map, q: float, n_points: int, seed: int) -> QuantileContour:

@@ -24,6 +24,7 @@ from .potential import (
     activation_second_deriv,
     activation_value,
     inv_spd,
+    push_rows,
     softmax,
 )
 from .rng import stream
@@ -158,53 +159,13 @@ class MixedTarget:
 # ---------------------------------------------------------------------------
 # pushes
 
-# Row chunks of a batched push hold at most this many pre-activations
-# (rows x L x M). One 1000-draw batch of a 300-observation, 3-label gmm map
-# would otherwise need a 94 MB block; budgets of 2**15 to 2**17 push equally
-# fast on one core, and larger blocks are slower because memory-bound.
-PUSH_CHUNK_ELEMENTS = 2**16
-
-
-def _push_rows(bank: PotentialBank, offsets, X2, n_groups: int):
-    """Per-group argmax winners and their summed gradients, in row chunks.
-
-    The L locals form ``n_groups`` consecutive groups of equal size; row b
-    of group i scores local l by ``offsets[b, l] + u_l(X2[b])``, and ties go
-    to the lowest index. Returns the winners (B, n_groups), as indices
-    within their group, and the sum over groups of the winning gradients
-    (B, p). The activation is evaluated at the winning locals only.
-    """
-    B = X2.shape[0]
-    L, M, p = bank.L, bank.M, bank.p
-    K = L // n_groups
-    alpha = bank.alpha.reshape(L * M, p)
-    first = K * np.arange(n_groups)
-    winners = np.empty((B, n_groups), dtype=int)
-    gsum = np.empty((B, p))
-    step = max(1, PUSH_CHUNK_ELEMENTS // (L * M))
-    for lo in range(0, B, step):
-        X = X2[lo : lo + step]
-        rows = np.arange(X.shape[0])[:, None]
-        s = bank.pre(X)
-        scores = offsets[lo : lo + step] + bank.values(X, s)
-        win = np.argmax(scores.reshape(-1, n_groups, K), axis=2)
-        idx = first + win  # (rows, n_groups) local indices
-        phi = np.zeros_like(s)
-        phi[rows, idx] = activation_value(bank.activation, s[rows, idx])
-        mask = np.zeros(scores.shape)  # one-hot winners, for the beta sums
-        mask[rows, idx] = 1.0
-        gsum[lo : lo + step] = phi.reshape(-1, L * M) @ alpha + mask @ bank.beta_sum
-        winners[lo : lo + step] = win
-    return winners, gsum
-
-
 def push_mixed(map: SemiDiscreteMap, x1, x2):
     """(tau, zeta) for one reference point or a batch; ties go to the lowest index.
 
     One point x1 (r,), x2 (p,) gives an int tau and zeta (p,); a batch
     x1 (B, r), x2 (B, p) gives tau (B,) and zeta (B, p). Rows are pushed in
-    chunks of at most ``PUSH_CHUNK_ELEMENTS`` pre-activations, so the memory
-    beyond the inputs and outputs does not grow with B.
+    chunks of at most ``potential.PUSH_CHUNK_ELEMENTS`` pre-activations, so
+    the memory beyond the inputs and outputs does not grow with B.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -216,7 +177,7 @@ def push_mixed(map: SemiDiscreteMap, x1, x2):
         or X1.shape != (X2.shape[0], map.embedding.r)
     ):
         raise ValueError("dimension mismatch")
-    tau, gsum = _push_rows(map.bank, X1 @ map.embedding.vectors.T, X2, 1)
+    tau, gsum = push_rows(map.bank, X2, X1 @ map.embedding.vectors.T)
     tau, zeta = tau[:, 0], map.kappa * gsum
     if single:
         return int(tau[0]), zeta[0]
@@ -229,8 +190,8 @@ def gmm_push(map: MeanFieldGmmMap, x1_blocks, x2):
     One point x1_blocks (n_obs K,) or (n_obs, K), x2 (p,) gives labels
     (n_obs,) and zeta (p,); a batch x1_blocks (B, n_obs K), x2 (B, p) gives
     labels (B, n_obs) and zeta (B, p). Rows are pushed in chunks of at most
-    ``PUSH_CHUNK_ELEMENTS`` pre-activations, so the memory beyond the inputs
-    and outputs does not grow with B.
+    ``potential.PUSH_CHUNK_ELEMENTS`` pre-activations, so the memory beyond
+    the inputs and outputs does not grow with B.
     """
     x2 = np.asarray(x2, dtype=float)
     single = x2.ndim == 1
@@ -238,7 +199,7 @@ def gmm_push(map: MeanFieldGmmMap, x1_blocks, x2):
     if X2.ndim != 2 or X2.shape[1] != map.phi_dim:
         raise ValueError("dimension mismatch")
     X1 = np.asarray(x1_blocks, dtype=float).reshape(X2.shape[0], map.n_obs * map.K)
-    labels, gsum = _push_rows(map.bank, X1, X2, map.n_obs)
+    labels, gsum = push_rows(map.bank, X2, X1, map.n_obs)
     zeta = map.kappa * gsum
     if single:
         return labels[0], zeta[0]

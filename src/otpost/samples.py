@@ -70,8 +70,11 @@ class SampleMatrix:
 
     @classmethod
     def mixed(cls, taus: np.ndarray, zetas: np.ndarray) -> "SampleMatrix":
-        taus = np.atleast_2d(np.asarray(taus, dtype=float))
-        zetas = np.atleast_2d(np.asarray(zetas, dtype=float))
-        cols = [f"tau_{i}" for i in range(taus.shape[1])]
+        taus, zetas = np.atleast_2d(taus), np.atleast_2d(zetas)
+        n = taus.shape[1]
+        data = np.empty((taus.shape[0], n + zetas.shape[1]))  # the only copy
+        data[:, :n] = taus
+        data[:, n:] = zetas
+        cols = [f"tau_{i}" for i in range(n)]
         cols += [f"zeta_{i}" for i in range(zetas.shape[1])]
-        return cls(data=np.hstack([taus, zetas]), columns=cols)
+        return cls(data=data, columns=cols)

@@ -52,6 +52,23 @@ def test_contour_radius_oracle_2d():
     assert np.isclose(contour_radius(0.7, 5), np.sqrt(chi2.ppf(0.7, 5)))
 
 
+def test_contour_radius_equals_scipy_chi2_bitwise():
+    q = np.linspace(0.0, 1.0, 2003)[1:-1]
+    for p in range(1, 31):
+        want = np.sqrt(chi2.ppf(q, df=p))
+        got = np.array([contour_radius(qq, p) for qq in q])
+        assert np.array_equal(got, want), p
+
+
+def test_import_leaves_scipy_stats_out():
+    import subprocess
+    import sys
+
+    code = "import sys, otpost; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_contour_radius_monotone_in_q():
     rs = [contour_radius(q, 3) for q in (0.1, 0.3, 0.5, 0.7, 0.9)]
     assert np.all(np.diff(rs) > 0)
@@ -246,13 +263,13 @@ def test_sample_mixed_maps_chunked_match_rows(N):
     # a budget of 7 rows per chunk: 23 draws end in a partial chunk
     from unittest import mock
 
-    from otpost import mixed
+    from otpost import mixed, potential
     from tests.test_mixed import gmm_push_rows, push_mixed_rows
 
     sd = mixed.random_semidiscrete_map(K=3, p=2, M=3, seed=56)
     gm = mixed.random_gmm_map(n_obs=4, K=3, d=2, M=2, seed=57)
     for mp, push_rows, r, n_tau in ((sd, push_mixed_rows, 3, 1), (gm, gmm_push_rows, 12, 4)):
-        with mock.patch.object(mixed, "PUSH_CHUNK_ELEMENTS", 7 * mp.bank.L * mp.bank.M):
+        with mock.patch.object(potential, "PUSH_CHUNK_ELEMENTS", 7 * mp.bank.L * mp.bank.M):
             s = sample(mp, N, seed=12)
         X = stream(12, 0).standard_normal((N, r + mp.phi_dim))
         taus, zetas = push_rows(mp, X[:, :r], X[:, r:])
@@ -264,8 +281,8 @@ def test_sample_mixed_maps_chunked_match_rows(N):
 
 def test_sample_gmm_peak_memory_is_chunked():
     # Unchunked, the 2000 x 900 x 4 pre-activations alone take 58 MB. The
-    # peak may hold the reference draws, the labels as int and as float and
-    # the output matrix, plus row-chunk temporaries of fixed size.
+    # peak may hold the reference draws, the labels and the output matrix,
+    # plus row-chunk temporaries of fixed size.
     import tracemalloc
 
     from otpost.mixed import random_gmm_map
@@ -279,7 +296,24 @@ def test_sample_gmm_peak_memory_is_chunked():
     finally:
         tracemalloc.stop()
     draws_bytes = N * (300 * 3 + mp.phi_dim) * 8
-    assert peak <= draws_bytes + 3 * out.data.nbytes + 2**22
+    assert peak <= draws_bytes + 2 * out.data.nbytes + 2**22
+
+
+def test_sample_maxpot_peak_memory_is_chunked():
+    # Unchunked, the 100,000 x 3 x 16 pre-activations alone take 38 MB. The
+    # peak may hold the reference draws, the output, the winners and
+    # row-chunk temporaries of fixed size.
+    import tracemalloc
+
+    mp = random_maxpot_map(3, 16, 5, 0)
+    N = 100_000
+    tracemalloc.start()
+    try:
+        out = sample(mp, N, seed=14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.data.nbytes + N * 8 + 2**22
 
 
 def test_contour_csv_round_trip(tmp_path):

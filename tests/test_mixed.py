@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from otpost import mixed, trainer
+from otpost import potential, trainer
 from otpost.mixed import (
     Embedding,
     GmmPrior,
@@ -120,7 +120,7 @@ def test_gmm_push_batch_matches_rows(n_obs, K, d, M, seed, B, chunk_rows):
     X1 = rg.standard_normal((B, n_obs * K))
     X2 = 2.0 * rg.standard_normal((B, K * d))
     # a budget of chunk_rows rows per chunk, so most batches span several
-    with mock.patch.object(mixed, "PUSH_CHUNK_ELEMENTS", chunk_rows * mp.bank.L * M):
+    with mock.patch.object(potential, "PUSH_CHUNK_ELEMENTS", chunk_rows * mp.bank.L * M):
         labels, zeta = gmm_push(mp, X1, X2)
     want_labels, want_zeta = gmm_push_rows(mp, X1, X2)
     assert labels.shape == (B, n_obs) and zeta.shape == (B, K * d)
@@ -137,7 +137,7 @@ def test_push_mixed_batch_matches_rows(K, p, M, seed, B, chunk_rows):
     rg = stream(seed, 2)
     X1 = rg.standard_normal((B, K))
     X2 = 2.0 * rg.standard_normal((B, p))
-    with mock.patch.object(mixed, "PUSH_CHUNK_ELEMENTS", chunk_rows * K * M):
+    with mock.patch.object(potential, "PUSH_CHUNK_ELEMENTS", chunk_rows * K * M):
         tau, zeta = push_mixed(mp, X1, X2)
     want_tau, want_zeta = push_mixed_rows(mp, X1, X2)
     assert tau.shape == (B,) and zeta.shape == (B, p)

@@ -1,12 +1,14 @@
 """Potential banks, max-potential maps, affine maps."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
+from otpost import potential
 from otpost.experiments import random_maxpot_map
 from otpost.potential import (
     Activation,
@@ -178,6 +180,48 @@ def test_transport_hard_picks_argmax_local():
         vals = [unit_loop_value(mp.bank, j, x) for j in range(mp.n_locals)]
         assert k == int(np.argmax(vals))
         assert np.allclose(value, unit_loop_grad(mp.bank, k, x))
+
+
+def transport_hard_rows(mp, X):
+    """Per-row reference: all local values of one row, then the winner's
+    gradient from all local gradients."""
+    wins = np.array([int(np.argmax(mp.bank.values(x[None])[0])) for x in X], dtype=int)
+    grads = [mp.bank.grads(x[None])[0, k] for x, k in zip(X, wins)]
+    return np.array(grads).reshape(len(X), mp.dim), wins
+
+
+@given(
+    L=hst.integers(1, 4), M=hst.integers(1, 16), p=hst.integers(1, 6),
+    seed=hst.integers(0, 2**16), B=hst.integers(1, 40), chunk_rows=hst.integers(1, 9),
+    activation=hst.sampled_from(list(Activation)),
+)
+def test_transport_hard_chunked_matches_rows(L, M, p, seed, B, chunk_rows, activation):
+    mp = random_maxpot_map(L, M, p, seed, activation=activation)
+    X = 2.0 * stream(seed, 3).standard_normal((B, p))
+    # a budget of chunk_rows rows per chunk, so most batches span several
+    with mock.patch.object(potential, "PUSH_CHUNK_ELEMENTS", chunk_rows * L * M):
+        out, win = transport_hard(mp, X)
+    want, want_win = transport_hard_rows(mp, X)
+    assert out.shape == (B, p) and win.shape == (B,)
+    assert np.array_equal(win, want_win)
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+
+
+def test_transport_hard_ties_go_to_lowest_index():
+    bank = random_maxpot_map(1, 4, 3, 7).bank
+    same = PotentialBank(*(np.repeat(a, 3, axis=0) for a in (bank.alpha, bank.beta, bank.w, bank.v)))
+    X = stream(20, 0).standard_normal((50, 3))
+    out, win = transport_hard(MaxPotentialMap(same), X)
+    assert np.array_equal(win, np.zeros(50, dtype=int))
+    np.testing.assert_allclose(out, transport_hard(MaxPotentialMap(bank), X)[0], rtol=0, atol=1e-12)
+
+
+def test_transport_hard_single_point_shapes():
+    mp = random_maxpot_map(3, 4, 2, 8)
+    value, k = transport_hard(mp, np.array([0.3, -0.2]))
+    assert value.shape == (2,) and type(k) is int
+    out, win = transport_hard(mp, np.zeros((0, 2)))
+    assert out.shape == (0, 2) and win.shape == (0,)
 
 
 def test_transport_smooth_approaches_hard_for_large_gamma():

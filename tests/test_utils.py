@@ -38,6 +38,24 @@ def test_sample_matrix_csv_round_trip(tmp_path):
     assert first[0] == "0" and first[1] == "2"
 
 
+def test_sample_matrix_mixed_allocates_only_its_output():
+    # labels (int) and zetas are written straight into one float matrix
+    import tracemalloc
+
+    rg = stream(3, 0)
+    taus = rg.integers(0, 3, (2000, 300))
+    zetas = rg.standard_normal((2000, 6))
+    tracemalloc.start()
+    try:
+        s = SampleMatrix.mixed(taus, zetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.data.shape == (2000, 306)
+    assert np.array_equal(s.data[:, :300], taus) and np.array_equal(s.data[:, 300:], zetas)
+    assert peak <= s.data.nbytes + 2**16
+
+
 def test_sample_matrix_validation():
     with pytest.raises(ValueError):
         SampleMatrix(data=np.zeros((2, 3)), columns=["a", "b"])
