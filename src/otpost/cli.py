@@ -166,16 +166,10 @@ def cmd_train(args):
     from .rng import stream
 
     tcfg, mcfg = cfg["target"], cfg["map"]
-    train_doc = dict(cfg.get("train", {}))
-    sk = train_doc.pop("sinkhorn", None)
-    st = train_doc.pop("stop", None)
-    tconf = trainer.TrainConfig(
-        **train_doc,
-        sinkhorn=None if sk is None else trainer.SinkhornConfig(**sk),
-        stop=trainer.StopConfig(**(st or {})),
-    )
-    if "adam_betas" in train_doc:
-        tconf.adam_betas = tuple(train_doc["adam_betas"])
+    try:
+        tconf = trainer.TrainConfig.from_dict(cfg.get("train", {}))
+    except ValueError as e:  # a value the schema allows but the config rejects
+        raise ConfigError(f"{args.config}: train: {e}")
     kind, tgt, spec = _build_target(tcfg)
     family = mcfg["family"]
     seed = int(mcfg.get("seed", tconf.seed))

@@ -21,9 +21,8 @@ from .potential import (
     PotentialBank,
     SingularJacobian,
     activation_deriv,
-    activation_second_deriv,
-    activation_value,
     inv_spd,
+    logdet_spd,
     push_rows,
     softmax,
 )
@@ -368,44 +367,6 @@ def reference_dim(map) -> int:
     return map.n_obs * map.K + map.phi_dim
 
 
-def _phi_param_vjp(st, X2, gval, Gvec, Acoef):
-    """Per-sample parameter gradients of a mixed cotangent bundle.
-
-    gval (B,L): cotangent on the potential values phi_l(x2).
-    Gvec (B,L,p): cotangent on the gradients grad phi_l(x2), or None.
-    Acoef (B,L,p,p): coefficient of the Hessians in a trace pairing, or None.
-    Returns (B, n_params) in the canonical flattening order.
-    """
-    B = X2.shape[0]
-    s = st.pre(X2)
-    phi = activation_value(st.activation, s)
-    coef = gval[:, :, None] * phi  # multiplier of x2 in d/dalpha, and d/dw
-    grad_alpha = np.zeros((B, st.L, st.M, st.p))
-    grad_beta = np.broadcast_to(
-        gval[:, :, None, None] * X2[:, None, None, :], (B, st.L, st.M, st.p)
-    ).copy()
-    grad_v = np.broadcast_to(gval[:, :, None], (B, st.L, st.M)).copy()
-    if Gvec is not None:
-        dphi = activation_deriv(st.activation, s)
-        ga = np.einsum("blp,lmp->blm", Gvec, st.alpha)
-        coef = coef + dphi * ga
-        grad_alpha += phi[..., None] * Gvec[:, :, None, :]
-        grad_beta += Gvec[:, :, None, :]
-    if Acoef is not None:
-        dphi = activation_deriv(st.activation, s)
-        ddphi = activation_second_deriv(st.activation, s)
-        Aalpha = np.einsum("blpq,lmq->blmp", Acoef, st.alpha)
-        aAa = np.einsum("lmp,blmp->blm", st.alpha, Aalpha)
-        coef = coef + ddphi * aAa
-        grad_alpha += 2.0 * dphi[..., None] * Aalpha
-    grad_alpha += coef[..., None] * X2[:, None, None, :]
-    grad_w = coef
-    blocks = np.concatenate(
-        [grad_alpha, grad_beta, grad_w[..., None], grad_v[..., None]], axis=3
-    )
-    return blocks.reshape(B, -1)
-
-
 def mixed_objective_grad(map, target: MixedTarget, X, gamma: float, jitter=None):
     """Batch-mean gradient of the minimized mixed objective, plus diagnostics.
 
@@ -413,69 +374,35 @@ def mixed_objective_grad(map, target: MixedTarget, X, gamma: float, jitter=None)
     The categorical winners are piecewise constant in the parameters, so
     only the smooth softmax probability, the continuous density and the
     log-determinant contribute gradients. The x1 batch doubles as the inner
-    Monte Carlo sample for Phat. Returns (grad, per-sample objectives,
-    skipped count); samples with a singular winning Hessian are skipped.
+    Monte Carlo sample for Phat. A semi-discrete map is the one-observation
+    case, with label offsets x1 @ b_k. Returns (grad, per-sample objectives,
+    skipped count); samples whose winning Hessian a Cholesky factorization
+    rejects are skipped.
     """
     X = np.asarray(X, dtype=float)
     B = X.shape[0]
     st = map.bank
     p = map.phi_dim
     if isinstance(map, SemiDiscreteMap):
-        r = map.embedding.r
-        X1, X2 = X[:, :r], X[:, r:]
-        lin = X1 @ map.embedding.vectors.T  # (B, K)
-        vals = st.values(X2)  # (B, K)
-        tau = np.argmax(lin + vals, axis=1)
-        grads = st.grads(X2)
-        hess = st.hessians(X2)
-        idx = np.arange(B)
-        Htau = hess[idx, tau]
-        if jitter:
-            Htau = Htau + jitter * np.eye(p)
-        sign, logdetH = np.linalg.slogdet(Htau)
-        ok = sign > 0
-        zeta = map.kappa * grads[idx, tau]
-        logpi = target.log_unnorm(tau[:, None], zeta)
-        # softmax weights over categories for every (inner j, sample b) pair
-        C = lin[:, None, :] + vals[None, :, :]  # (j, b, K)
-        W = softmax(gamma * C, axis=2)
-        Wt = W[:, idx, tau]  # (j, b)
-        S1 = Wt.sum(axis=0)  # B * Phat
-        log_phat = np.log(S1 / B)
-        cross = np.einsum("jb,jbk->bk", Wt, W)
-        gval = -gamma * cross / S1[:, None]
-        gval[idx, tau] += gamma
-        Gvec = np.zeros((B, st.L, p))
-        Acoef = np.zeros((B, st.L, p, p))
-        sc = np.asarray(target.score(tau[:, None], zeta), dtype=float)
-        Gvec[idx[ok], tau[ok]] = -map.kappa * sc[ok]
-        Acoef[idx[ok], tau[ok]] = -inv_spd(Htau[ok])
-        objs = np.where(
-            ok, log_phat - logpi - (p * np.log(map.kappa) + logdetH), np.inf
-        )
-        per = _phi_param_vjp(st, X2, gval, Gvec, Acoef)
-        grad = per[ok].mean(axis=0)
-        return grad, objs, int(np.sum(~ok))
-
-    # mean-field grid: per-observation argmax, shared continuous block
-    n, K = map.n_obs, map.K
-    X1 = X[:, : n * K].reshape(B, n, K)
-    X2 = X[:, n * K :]
-    vals = st.values(X2).reshape(B, n, K)
+        n, K, r = 1, map.n_categories, map.embedding.r
+        X1 = (X[:, :r] @ map.embedding.vectors.T).reshape(B, 1, K)
+    else:
+        n, K, r = map.n_obs, map.K, map.n_obs * map.K
+        X1 = X[:, :r].reshape(B, n, K)
+    X2 = X[:, r:]
+    s = st.pre(X2)
+    vals = st.values(X2, s).reshape(B, n, K)
     labels = np.argmax(X1 + vals, axis=2)  # (B, n)
-    grads = st.grads(X2).reshape(B, n, K, p)
-    hess = st.hessians(X2).reshape(B, n, K, p, p)
     idx = np.arange(B)[:, None]
-    obs = np.arange(n)[None, :]
-    Gsel = grads[idx, obs, labels]  # (B, n, p)
-    Hsum = hess[idx, obs, labels].sum(axis=1)  # (B, p, p)
+    win = K * np.arange(n) + labels  # (B, n) winning local indices
+    Hsum = st.hessians(X2, s)[idx, win].sum(axis=1)  # (B, p, p)
     if jitter:
         Hsum = Hsum + jitter * np.eye(p)
-    sign, logdetH = np.linalg.slogdet(Hsum)
-    ok = sign > 0
-    zeta = map.kappa * Gsel.sum(axis=1)
+    logdetH, ok = logdet_spd(Hsum)
+    zeta = map.kappa * st.grads(X2, s)[idx, win].sum(axis=1)
     logpi = target.log_unnorm(labels, zeta)
     # Phat per observation, chunked over samples to bound memory
+    obs = np.arange(n)[None, :]
     gval = np.zeros((B, n, K))
     log_phat = np.zeros(B)
     chunk = max(1, int(2**22 // max(1, B * n * K)))
@@ -491,19 +418,15 @@ def mixed_objective_grad(map, target: MixedTarget, X, gamma: float, jitter=None)
         g = -gamma * cross / S1[..., None]
         g[np.arange(hi - lo)[:, None], obs, lb] += gamma
         gval[lo:hi] = g
-    Gvec = np.zeros((B, n, K, p))
-    Acoef = np.zeros((B, n, K, p, p))
-    sc = np.asarray(target.score(labels, zeta), dtype=float)
-    Gvec[idx, obs, labels] = -map.kappa * sc[:, None, :]
-    Ainv = np.zeros((B, p, p))
-    Ainv[ok] = inv_spd(Hsum[ok])
-    Acoef[idx, obs, labels] = -Ainv[:, None, :, :]
     objs = np.where(ok, log_phat - logpi - (p * np.log(map.kappa) + logdetH), np.inf)
-    per = _phi_param_vjp(
-        st, X2, gval.reshape(B, -1), Gvec.reshape(B, n * K, p), Acoef.reshape(B, n * K, p, p)
+    # the winners carry the density and log-determinant cotangents
+    onehot = np.zeros((B, st.L))
+    onehot[idx, win] = 1.0
+    G = -map.kappa * np.asarray(target.score(labels, zeta), dtype=float)
+    per = st.param_vjp(
+        X2[ok], gval.reshape(B, -1)[ok], onehot[ok], G[ok], -inv_spd(Hsum[ok]), s[ok]
     )
-    grad = per[ok].mean(axis=0)
-    return grad, objs, int(np.sum(~ok))
+    return per.mean(axis=0), objs, int(np.sum(~ok))
 
 
 # ---------------------------------------------------------------------------

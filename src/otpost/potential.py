@@ -181,6 +181,40 @@ class PotentialBank:
         dphi = activation_deriv(self.activation, s)
         return np.einsum("blm,lmp,lmq->blpq", dphi, self.alpha, self.alpha)
 
+    def param_vjp(self, X, gval, weight, G, A=None, s=None):
+        """Per-sample parameter gradients of
+        ``sum_l gval[b,l] u_l(x_b) + weight[b,l] (<G_b, grad u_l(x_b)>
+        + tr(A_b hess u_l(x_b)))``, with A_b symmetric (the trace term is
+        dropped when A is None). gval, weight (B, L); G (B, p); A (B, p, p).
+        Returns (B, n_params) in the canonical flattening order; this is the
+        only code that lays out parameter gradients.
+        """
+        B, L, M, p = X.shape[0], self.L, self.M, self.p
+        s = self.pre(X) if s is None else s
+        phi = activation_value(self.activation, s)
+        dphi = activation_deriv(self.activation, s)
+        galpha = np.einsum("bp,lmp->blm", G, self.alpha)
+        # multiplier of x in d/dalpha, and d/dw itself
+        coef = gval[:, :, None] * phi + weight[:, :, None] * dphi * galpha
+        if A is not None:
+            Aalpha = np.einsum("bpq,lmq->blmp", A, self.alpha)
+            quad = np.einsum("lmp,blmp->blm", self.alpha, Aalpha)
+            ddphi = activation_second_deriv(self.activation, s)
+            coef = coef + weight[:, :, None] * ddphi * quad
+        grad_alpha = coef[..., None] * X[:, None, None, :]
+        grad_alpha += (weight[:, :, None] * phi)[..., None] * G[:, None, None, :]
+        if A is not None:
+            grad_alpha += 2.0 * (weight[:, :, None] * dphi)[..., None] * Aalpha
+        # beta and v enter through their per-local sums: one value per local
+        grad_beta = (
+            gval[..., None, None] * X[:, None, None, :] + weight[..., None, None] * G[:, None, None, :]
+        )
+        blocks = np.concatenate([
+            grad_alpha, np.broadcast_to(grad_beta, (B, L, M, p)), coef[..., None],
+            np.broadcast_to(gval[:, :, None, None], (B, L, M, 1)),
+        ], axis=3)
+        return blocks.reshape(B, -1)
+
     def flat(self) -> np.ndarray:
         """Parameters in the canonical flattening order (module docstring)."""
         blocks = np.concatenate(
@@ -375,8 +409,10 @@ def softmax(z: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _chol_batch(J: np.ndarray, X: np.ndarray, jitter: float | None):
-    """Cholesky factors plus a validity mask; non-PD entries are masked out."""
+def logdet_spd(J: np.ndarray, jitter: float | None = None):
+    """Log-determinants of a batch (B, p, p) of symmetric matrices (plus
+    jitter * I) and the mask of those a Cholesky factorization accepts;
+    the others get -inf."""
     B, p = J.shape[0], J.shape[1]
     if jitter:
         J = J + jitter * np.eye(p)
@@ -390,7 +426,11 @@ def _chol_batch(J: np.ndarray, X: np.ndarray, jitter: float | None):
                 chol[b] = np.linalg.cholesky(J[b])
             except np.linalg.LinAlgError:
                 ok[b] = False
-    return chol, ok
+    logdet = np.full(B, -np.inf)
+    diag = np.diagonal(chol, axis1=1, axis2=2)
+    with np.errstate(invalid="ignore"):
+        logdet[ok] = 2.0 * np.sum(np.log(diag[ok]), axis=1)
+    return logdet, ok
 
 
 def transport_smooth(
@@ -415,11 +455,7 @@ def smooth_batch(map: MaxPotentialMap, X: np.ndarray, jitter: float | None = Non
     hess = bank.hessians(X, s)
     value = np.einsum("bl,blp->bp", omega, grads)
     J = np.einsum("bl,blpq->bpq", omega, hess)
-    chol, ok = _chol_batch(J, X, jitter)
-    logdet = np.full(X.shape[0], -np.inf)
-    diag = np.diagonal(chol, axis1=1, axis2=2)
-    with np.errstate(invalid="ignore"):
-        logdet[ok] = 2.0 * np.sum(np.log(diag[ok]), axis=1)
+    logdet, ok = logdet_spd(J, jitter)
     return value, J, logdet, ok
 
 
@@ -469,56 +505,19 @@ def smooth_param_grads(
     per-sample Jacobians, the tr(J^{-1} dJ/dtheta) term is added. Returns
     (B, n_params) in the canonical flattening order.
     """
-    st = map.bank
+    bank = map.bank
     gamma = map.gamma_sharp
-    B = X.shape[0]
-    s = st.pre(X)
-    omega = softmax(gamma * st.values(X, s), axis=1)
-    grads = st.grads(X, s)
-    phi = activation_value(st.activation, s)
-    dphi = activation_deriv(st.activation, s)
-
-    a = np.einsum("bp,blp->bl", G, grads)  # G . grad u_l
+    s = bank.pre(X)
+    omega = softmax(gamma * bank.values(X, s), axis=1)
+    # each local's score: G . grad u_l (+ tr(J^{-1} hess u_l))
+    score = np.einsum("bp,blp->bl", G, bank.grads(X, s))
+    A = None
     if with_logdet_of is not None:
         A = inv_spd(with_logdet_of)  # (B, p, p)
-        hess = st.hessians(X, s)
-        c = np.einsum("bpq,blqp->bl", A, hess)
-        Aalpha = np.einsum("bpq,lmq->blmp", A, st.alpha)
-        quad = np.einsum("lmp,blmp->blm", st.alpha, Aalpha)
-        ddphi = activation_second_deriv(st.activation, s)
-    else:
-        c = np.zeros_like(a)
-    score = a + c
+        score = score + np.einsum("bpq,blqp->bl", A, bank.hessians(X, s))
     delta = score - np.einsum("bl,bl->b", omega, score)[:, None]  # (B, L)
-
-    galpha = np.einsum("bp,lmp->blm", G, st.alpha)
-    wdel = gamma * omega * delta  # (B, L), softmax-coupling weight
-
-    # alpha gradient: (B, L, M, p)
-    coef_x = wdel[:, :, None] * phi + omega[:, :, None] * dphi * galpha
-    if with_logdet_of is not None:
-        coef_x = coef_x + omega[:, :, None] * ddphi * quad
-    grad_alpha = coef_x[..., None] * X[:, None, None, :]
-    grad_alpha += (omega[:, :, None] * phi)[..., None] * G[:, None, None, :]
-    if with_logdet_of is not None:
-        grad_alpha += 2.0 * (omega[:, :, None] * dphi)[..., None] * Aalpha
-
-    # beta gradient: (B, L, M, p), identical across units within a local
-    grad_beta = wdel[..., None, None] * X[:, None, None, :] + np.broadcast_to(
-        (omega[..., None, None] * G[:, None, None, :]),
-        (B, st.L, 1, st.p),
-    )
-    grad_beta = np.broadcast_to(grad_beta, (B, st.L, st.M, st.p))
-
-    grad_w = wdel[:, :, None] * phi + omega[:, :, None] * dphi * galpha
-    if with_logdet_of is not None:
-        grad_w = grad_w + omega[:, :, None] * ddphi * quad
-    grad_v = np.broadcast_to(wdel[:, :, None], (B, st.L, st.M))
-
-    blocks = np.concatenate(
-        [grad_alpha, grad_beta, grad_w[..., None], grad_v[..., None]], axis=3
-    )
-    return blocks.reshape(B, -1)
+    # gamma omega delta is the softmax-coupling weight on the local values
+    return bank.param_vjp(X, gamma * omega * delta, omega, G, A, s)
 
 
 def param_grad_detail(

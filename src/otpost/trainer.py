@@ -105,22 +105,22 @@ class TrainConfig:
         return json.dumps(doc, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "TrainConfig":
-        doc = json.loads(text)
-        sk = doc.get("sinkhorn")
-        st = doc.get("stop") or {}
+    def from_dict(cls, doc: dict) -> "TrainConfig":
+        """The config a JSON ``train`` object describes; absent keys take the
+        dataclass defaults. Unknown keys raise TypeError, bad values ValueError."""
+        doc = dict(doc)
+        sk, st = doc.pop("sinkhorn", None), doc.pop("stop", None)
+        if "adam_betas" in doc:
+            doc["adam_betas"] = tuple(doc["adam_betas"])
         return cls(
-            batch_size=doc.get("batch_size", 128),
-            max_iters=doc.get("max_iters", 2000),
-            learning_rate=doc.get("learning_rate", 1e-3),
-            adam_betas=tuple(doc.get("adam_betas", (0.9, 0.999))),
-            adam_eps=doc.get("adam_eps", 1e-8),
-            seed=doc.get("seed", 0),
-            gamma_sharp=doc.get("gamma_sharp", 10.0),
+            **doc,
             sinkhorn=None if sk is None else SinkhornConfig(**sk),
-            stop=StopConfig(**st),
-            jitter=doc.get("jitter"),
+            stop=StopConfig(**(st or {})),
         )
+
+    @classmethod
+    def from_json(cls, text: str) -> "TrainConfig":
+        return cls.from_dict(json.loads(text))
 
 
 @dataclass
@@ -354,14 +354,15 @@ def _variance_stop(variance_trace, stop: StopConfig, streak: int):
     return streak, streak >= stop.patience
 
 
-def _run_adam(theta, grad_fn, config: TrainConfig):
-    """Shared ascent loop: grad_fn(theta, X) -> (grad, per-sample objectives, skipped)."""
+def _run_adam(theta, grad_fn, ref_dim: int, config: TrainConfig):
+    """Shared ascent loop over (batch_size, ref_dim) reference batches X:
+    grad_fn(theta, X) -> (grad, per-sample objectives, skipped)."""
     report = TrainReport()
     opt = Adam(theta.size, config.learning_rate, config.adam_betas, config.adam_eps)
     streak = 0
     t0 = time.perf_counter()
     for t in range(config.max_iters):
-        X = stream(config.seed, t).standard_normal((config.batch_size, theta_dim(grad_fn)))
+        X = stream(config.seed, t).standard_normal((config.batch_size, ref_dim))
         grad, objs, skipped = grad_fn(theta, X)
         finite = np.isfinite(objs)
         obj = float(np.mean(objs[finite])) if np.any(finite) else np.nan
@@ -384,10 +385,6 @@ def _run_adam(theta, grad_fn, config: TrainConfig):
     return theta, report
 
 
-def theta_dim(grad_fn):
-    return grad_fn.input_dim
-
-
 def train(map: MaxPotentialMap, target: TargetDensity, config: TrainConfig):
     """ADAM ascent on the smooth KL objective; deterministic given the seed."""
     cur = map.with_gamma(config.gamma_sharp)
@@ -401,8 +398,7 @@ def train(map: MaxPotentialMap, target: TargetDensity, config: TrainConfig):
             # which ends training as aborted
             return np.full(theta.size, np.nan), np.full(X.shape[0], np.nan), X.shape[0]
 
-    grad_fn.input_dim = map.dim
-    theta, report = _run_adam(cur.flat_params(), grad_fn, config)
+    theta, report = _run_adam(cur.flat_params(), grad_fn, map.dim, config)
     return cur.with_flat_params(theta), report
 
 
@@ -422,8 +418,7 @@ def train_affine(target: TargetDensity, config: TrainConfig, n_scale: int = 1, i
         grad[p + n_off :] += 1.0  # d/d logdiag of sum log diag
         return grad, objs, 0
 
-    grad_fn.input_dim = p
-    theta, report = _run_adam(_affine_theta(init), grad_fn, config)
+    theta, report = _run_adam(_affine_theta(init), grad_fn, p, config)
     return _affine_from_theta(theta, p, n_scale), report
 
 
@@ -444,6 +439,5 @@ def train_mixed(map, target, config: TrainConfig):
         grad, objs, skipped = mx.mixed_objective_grad(m, target, X, config.gamma_sharp, jitter=config.jitter)
         return -grad, -objs, skipped
 
-    grad_fn.input_dim = mx.reference_dim(map)
-    theta, report = _run_adam(mx.flat_params(map), grad_fn, config)
+    theta, report = _run_adam(mx.flat_params(map), grad_fn, mx.reference_dim(map), config)
     return mx.with_flat_params(cur, theta), report

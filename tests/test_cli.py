@@ -77,6 +77,22 @@ def test_train_aborted_exits_3(tmp_path, capsys):
     assert not os.path.exists(os.path.join(tmp_path, "ab", "map.json"))
 
 
+def test_train_value_the_config_rejects_exits_2(tmp_path, capsys):
+    # the schema allows any two numbers as adam_betas; TrainConfig does not
+    cfg = write_config(
+        tmp_path,
+        {
+            "target": {"kind": "std_normal", "params": {"dim": 2}},
+            "map": {"family": "affine"},
+            "train": {"adam_betas": [1.5, 0.9]},
+            "out_dir": os.path.join(tmp_path, "bad"),
+        },
+    )
+    assert main(["train", "--config", cfg]) == EXIT_CONFIG
+    assert "adam_betas" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(tmp_path, "bad"))
+
+
 def test_train_rerun_is_byte_identical(tmp_path):
     cfg1 = affine_config(tmp_path, out="r1")
     cfg2 = affine_config(tmp_path, out="r2")

@@ -343,6 +343,42 @@ def test_mixed_objective_grad_finite_difference_meanfield():
         assert abs(fd - grad[j]) / (1.0 + abs(grad[j])) <= 1e-4
 
 
+def test_mixed_objective_grad_skips_rank_deficient_hessians():
+    # 3 units in 6 dimensions: every winning Hessian has rank 3, yet slogdet
+    # gives some of them sign +1; the rows a Cholesky factorization rejects
+    # are skipped, not passed on to inv_spd
+    K, d = 3, 2
+    mp = random_semidiscrete_map(K=K, p=K * d, M=3, seed=21, kappa=0.7)
+    tgt = discrete_mixture_target(
+        weights=[0.2, 0.3, 0.5], means=stream(22, 0).standard_normal((K, K * d)),
+        sds=np.ones((K, K * d)),
+    )
+    X = stream(23, 0).standard_normal((40, K + K * d))
+    grad, objs, skipped = mixed_objective_grad(mp, tgt, X, gamma=5.0)
+    assert skipped == np.sum(objs == np.inf) > 0
+    assert grad.shape == flat_params(mp).shape
+
+
+def test_semidiscrete_is_the_one_observation_meanfield_case():
+    # one bank, one batch: a one-hot semi-discrete map and a mean-field map
+    # of one observation run the same path through mixed_objective_grad
+    K, d = 3, 2
+    sd = random_semidiscrete_map(K=K, p=K * d, M=8, seed=21, kappa=0.7)
+    gm = MeanFieldGmmMap(n_obs=1, K=K, d=d, bank=sd.bank, kappa=0.7)
+    tgt = discrete_mixture_target(
+        weights=[0.2, 0.3, 0.5], means=stream(22, 0).standard_normal((K, K * d)),
+        sds=np.ones((K, K * d)),
+    )
+    X = stream(23, 0).standard_normal((40, K + K * d))
+    assert reference_dim(sd) == reference_dim(gm) == X.shape[1]
+    for jitter in (None, 1e-3):
+        got = mixed_objective_grad(sd, tgt, X, gamma=5.0, jitter=jitter)
+        want = mixed_objective_grad(gm, tgt, X, gamma=5.0, jitter=jitter)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+
 def test_train_mixed_improves_discrete_mixture_fit():
     mp = random_semidiscrete_map(K=2, p=1, M=3, seed=20)
     tgt = discrete_mixture_target(

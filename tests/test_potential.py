@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as hst
 
 from otpost import potential
@@ -283,6 +283,56 @@ def test_param_grad_matches_finite_difference():
         e[j] = h
         fd = (mean_obj(theta0 + e) - mean_obj(theta0 - e)) / (2 * h)
         assert abs(fd - g[j]) / (1.0 + abs(g[j])) <= 1e-5
+
+
+def vjp_objective(bank, X, gval, weight, G, A):
+    """Per sample: sum_l gval u_l + weight (<G, grad u_l> + tr(A hess u_l))."""
+    f = np.sum(gval * bank.values(X), axis=1)
+    f += np.einsum("bl,bp,blp->b", weight, G, bank.grads(X))
+    if A is not None:
+        f += np.einsum("bl,bpq,blqp->b", weight, A, bank.hessians(X))
+    return f
+
+
+@given(
+    L=hst.integers(1, 4), M=hst.integers(1, 4), p=hst.integers(1, 4),
+    seed=hst.integers(0, 2**16), activation=hst.sampled_from(list(Activation)),
+    one_hot=hst.booleans(), with_A=hst.booleans(),
+)
+def test_param_vjp_matches_finite_difference(L, M, p, seed, activation, one_hot, with_A):
+    bank = random_bank(p, L, M, seed, activation)
+    rg = stream(seed, 91)
+    B = 5
+    X = rg.standard_normal((B, p))
+    gval = rg.standard_normal((B, L))
+    G = rg.standard_normal((B, p))
+    if one_hot:  # the mixed maps' winners
+        weight = np.eye(L)[rg.integers(0, L, B)]
+    else:  # the max-potential map's softmax weights
+        weight = potential.softmax(rg.standard_normal((B, L)), axis=1)
+    A = None
+    if with_A:
+        R = rg.standard_normal((B, p, p))
+        A = R + R.transpose(0, 2, 1)
+    # the central differences below must not step across a kink of phi'
+    s = bank.pre(X)
+    if activation != Activation.TANH:
+        assume(np.min(np.abs(s)) > 1e-3)
+    if activation == Activation.SQNL:
+        assume(np.min(np.abs(np.abs(s) - 2.0)) > 1e-3)
+    got = bank.param_vjp(X, gval, weight, G, A)
+    theta = bank.flat()
+    assert got.shape == (B, theta.size)
+    h = 1e-6
+    fd = np.empty_like(got)
+    for i in range(theta.size):
+        e = np.zeros_like(theta)
+        e[i] = h
+        fd[:, i] = (
+            vjp_objective(bank.with_flat(theta + e), X, gval, weight, G, A)
+            - vjp_objective(bank.with_flat(theta - e), X, gval, weight, G, A)
+        ) / (2 * h)
+    np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-6)
 
 
 def test_flat_params_round_trip():

@@ -183,6 +183,8 @@ def test_train_report_and_config_json_round_trip():
         stop=StopConfig(window=7, variance_tol=0.5, patience=2),
     )
     cfg2 = TrainConfig.from_json(cfg.to_json())
+    assert cfg2 == cfg
+    assert TrainConfig.from_dict({}) == TrainConfig()
     assert cfg2.batch_size == 32 and cfg2.max_iters == 10
     assert cfg2.sinkhorn.n_target_samples == 64
     assert cfg2.stop.window == 7 and cfg2.stop.variance_tol == 0.5
