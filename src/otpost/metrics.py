@@ -171,6 +171,8 @@ def w2_entropic(A, B, epsilon: float, iters: int = 5000, tol: float = 1e-6) -> f
         raise ValueError("dimension mismatch")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
     if A.shape[0] * B.shape[0] > _BIG_ENTRIES:
         tol = max(tol, 1e-3)
         viols = []

@@ -530,6 +530,9 @@ def param_grad_detail(
     if not np.any(ok):
         raise SingularJacobian(X[0])
     Xv, Jv, valv = X[ok], J[ok], value[ok]
+    if jitter:
+        # the objective's log-determinant is that of J + jitter * I
+        Jv = Jv + jitter * np.eye(X.shape[1])
     G = np.asarray(target.score(valv), dtype=float)
     per_sample = smooth_param_grads(map, Xv, G, with_logdet_of=Jv)
     grad = per_sample.mean(axis=0)

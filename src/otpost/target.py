@@ -176,18 +176,59 @@ class LogisticPosteriorSpec:
         return self.X.shape[1]
 
 
+# Row chunks of a logistic log-density hold about this many linear
+# predictors (rows x observations). Each chunk's two (rows, n) buffers are
+# reused by every chunk of a call and stay in cache; a fresh (B, n) array
+# per operation pays its page faults again, which dominated training at
+# n = 1000. Budgets of 2**15 to 2**16 measured fastest on one core.
+LOGISTIC_CHUNK_ELEMENTS = 2**16
+
+
 def logistic_posterior(spec: LogisticPosteriorSpec) -> TargetDensity:
-    """Bernoulli-logit likelihood with a N(0, sigma^2 I) prior on beta."""
+    """Bernoulli-logit likelihood with a N(0, sigma^2 I) prior on beta.
+
+    ``log_unnorm`` walks a batch in row chunks of about
+    ``LOGISTIC_CHUNK_ELEMENTS`` linear predictors eta = beta . x_i (64 rows
+    at n = 1000), through two chunk-sized buffers, so its peak memory is
+    about two chunks (1 MB) whatever the batch. A batch that fits one chunk,
+    such as a single point, runs the same operations without the buffers.
+    ``score`` forms one (B, n) eta and computes the means and residuals in
+    place in it, so its peak is that one array. Both give the same bits as
+    the unchunked formulas.
+    """
     X, y, sig2 = spec.X, spec.y, spec.prior_sigma**2
+    XT = X.T
+    # Whole multiples of 8 rows, and a one-row tail joins the chunk before
+    # it: BLAS rounds a row by its place in a block of rows, and numpy sends
+    # a single row to a matrix-vector kernel, so either would move last bits.
+    step = max(8, LOGISTIC_CHUNK_ELEMENTS // max(1, X.shape[0]) // 8 * 8)
+
+    def loglik(Bc, eta=None, work=None):
+        # sum_i y_i eta_i - log(1 + e^eta_i), with log(1 + e^eta) without
+        # overflow as max(eta, 0) + log1p(e^-|eta|); eta ends as that term
+        eta = np.matmul(Bc, XT, out=eta)
+        ll = eta @ y
+        work = np.abs(eta, out=work)
+        np.negative(work, out=work)
+        np.exp(work, out=work)
+        np.log1p(work, out=work)
+        np.maximum(eta, 0.0, out=eta)
+        eta += work
+        return ll - eta.sum(axis=1)
 
     def log_unnorm(beta):
         beta = np.asarray(beta, dtype=float)
         single = beta.ndim == 1
         B = np.atleast_2d(beta)
-        eta = B @ X.T  # (nb, n)
-        # log(1 + e^eta) without overflow
-        log1pe = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
-        ll = eta @ y - log1pe.sum(axis=1)
+        nb = B.shape[0]
+        if nb <= step + 1:
+            ll = loglik(B)
+        else:
+            ll = np.empty(nb)
+            eta, work = np.empty((2, step + 1, X.shape[0]))
+            for lo in range(0, nb - 1, step):
+                hi = nb if nb - lo <= step + 1 else lo + step
+                ll[lo:hi] = loglik(B[lo:hi], eta[: hi - lo], work[: hi - lo])
         lp = -0.5 * np.sum(B * B, axis=1) / sig2
         out = ll + lp
         return out[0] if single else out
@@ -196,9 +237,14 @@ def logistic_posterior(spec: LogisticPosteriorSpec) -> TargetDensity:
         beta = np.asarray(beta, dtype=float)
         single = beta.ndim == 1
         B = np.atleast_2d(beta)
-        eta = B @ X.T
-        mu = 1.0 / (1.0 + np.exp(-eta))
-        out = (y - mu) @ X - B / sig2
+        eta = B @ XT
+        # y - 1/(1 + e^-eta), in place in eta
+        np.negative(eta, out=eta)
+        np.exp(eta, out=eta)
+        eta += 1.0
+        np.divide(1.0, eta, out=eta)
+        np.subtract(y, eta, out=eta)
+        out = eta @ X - B / sig2
         return out[0] if single else out
 
     return TargetDensity(dim=spec.dim, log_unnorm=log_unnorm, score=score)

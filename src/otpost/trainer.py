@@ -59,6 +59,19 @@ class SinkhornConfig:
     tol: float = 1e-4  # marginal tolerance during initialization only
     init_steps: int = 200
 
+    def __post_init__(self):
+        # the bounds of the "sinkhorn" object in schemas/config.v1.json
+        if self.n_target_samples < 2:
+            raise ValueError("sinkhorn n_target_samples must be >= 2")
+        if self.epsilon is not None and not self.epsilon > 0:
+            raise ValueError("sinkhorn epsilon must be None or positive")
+        if self.iters < 1:
+            raise ValueError("sinkhorn iters must be >= 1")
+        if not self.tol > 0:
+            raise ValueError("sinkhorn tol must be positive")
+        if self.init_steps < 0:
+            raise ValueError("sinkhorn init_steps must be >= 0")
+
 
 @dataclass
 class StopConfig:
@@ -200,6 +213,12 @@ def _sq_dists(A, B):
 def _ot_entropic(A, B, epsilon, iters, tol=1e-6):
     """Entropic OT value (dual) and coupling for uniform weights.
 
+    Log-domain Sinkhorn. The f-update, g-update and coupling of every
+    iteration run in place through one n x m work buffer, which ends as the
+    returned coupling, so the peak is that buffer plus the cost matrix
+    (2 n m floats). Each update is the in-place form of the formula in its
+    comment, with the same operations in the same order, so the result has
+    the bits of evaluating the formulas with a fresh array per operation.
     Returns (value, coupling, marginal violation).
     """
     n, m = A.shape[0], B.shape[0]
@@ -208,16 +227,30 @@ def _ot_entropic(A, B, epsilon, iters, tol=1e-6):
     g = np.zeros(m)
     loga = -np.log(n)
     logb = -np.log(m)
+    W = np.empty_like(C)
     for _ in range(iters):
         # f-update: f_i = -eps logsumexp_j[(g_j - C_ij)/eps + log b_j]
-        M = (g[None, :] - C) / epsilon + logb
-        mx = M.max(axis=1, keepdims=True)
-        f = -epsilon * (mx[:, 0] + np.log(np.sum(np.exp(M - mx), axis=1)))
-        M = (f[:, None] - C) / epsilon + loga
-        mx = M.max(axis=0, keepdims=True)
-        g = -epsilon * (mx[0] + np.log(np.sum(np.exp(M - mx), axis=0)))
-        logP = loga + logb + (f[:, None] + g[None, :] - C) / epsilon
-        P = np.exp(logP)
+        np.subtract(g[None, :], C, out=W)
+        W /= epsilon
+        W += logb
+        mx = W.max(axis=1, keepdims=True)
+        W -= mx
+        np.exp(W, out=W)
+        f = -epsilon * (mx[:, 0] + np.log(np.sum(W, axis=1)))
+        # g-update: g_j = -eps logsumexp_i[(f_i - C_ij)/eps + log a_i]
+        np.subtract(f[:, None], C, out=W)
+        W /= epsilon
+        W += loga
+        mx = W.max(axis=0, keepdims=True)
+        W -= mx
+        np.exp(W, out=W)
+        g = -epsilon * (mx[0] + np.log(np.sum(W, axis=0)))
+        # coupling: P = exp(log a + log b + (f_i + g_j - C_ij)/eps)
+        np.add(f[:, None], g[None, :], out=W)
+        W -= C
+        W /= epsilon
+        W += loga + logb
+        P = np.exp(W, out=W)
         viol = max(
             np.abs(P.sum(axis=1) - 1.0 / n).max(),
             np.abs(P.sum(axis=0) - 1.0 / m).max(),
@@ -241,6 +274,8 @@ def sinkhorn_divergence(A, B, epsilon: float, iters: int = 5000, tol: float = 1e
         raise ValueError("dimension mismatch")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
     v_ab, P_ab, viol1 = _ot_entropic(A, B, epsilon, iters, tol)
     v_aa, P_aa, viol2 = _ot_entropic(A, A, epsilon, iters, tol)
     v_bb, _, viol3 = _ot_entropic(B, B, epsilon, iters, tol)

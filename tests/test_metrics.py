@@ -79,6 +79,8 @@ def test_w2_entropic_input_validation():
         w2_entropic(A, np.zeros((4, 3)), epsilon=1.0)
     with pytest.raises(ValueError):
         w2_entropic(A, A, epsilon=0.0)
+    with pytest.raises(ValueError, match="iters"):
+        w2_entropic(A, A + 1.0, epsilon=1.0, iters=0)
 
 
 def test_tv_latent_oracle():

@@ -285,6 +285,32 @@ def test_param_grad_matches_finite_difference():
         assert abs(fd - g[j]) / (1.0 + abs(g[j])) <= 1e-5
 
 
+def test_param_grad_differentiates_the_jittered_objective():
+    # two units in four dimensions: J has rank 2 at most, so only the jitter
+    # makes it positive definite, and the gradient must be that of
+    # log det(J + jitter I)
+    mp = random_maxpot_map(1, 2, 4, 0)
+    tgt = std_normal(4)
+    X = stream(20, 0).standard_normal((16, 4))
+    jitter = 1e-3
+    assert not smooth_batch(mp, X)[3].all()
+    assert smooth_batch(mp, X, jitter=jitter)[3].all()
+
+    def mean_obj(theta):
+        vals, ok = potential.objective_batch(mp.with_flat_params(theta), tgt, X, jitter=jitter)
+        assert ok.all()
+        return vals.mean()
+
+    theta0 = mp.flat_params()
+    g = param_grad(mp, tgt, X, jitter=jitter)
+    h = 1e-6
+    for j in range(theta0.size):
+        e = np.zeros_like(theta0)
+        e[j] = h
+        fd = (mean_obj(theta0 + e) - mean_obj(theta0 - e)) / (2 * h)
+        assert abs(fd - g[j]) / (1.0 + abs(g[j])) <= 1e-6
+
+
 def vjp_objective(bank, X, gval, weight, G, A):
     """Per sample: sum_l gval u_l + weight (<G, grad u_l> + tr(A hess u_l))."""
     f = np.sum(gval * bank.values(X), axis=1)

@@ -7,6 +7,7 @@ from scipy.stats import multivariate_normal
 
 from otpost.rng import stream
 from otpost.target import (
+    LOGISTIC_CHUNK_ELEMENTS,
     GaussianMixtureSpec,
     LogisticPosteriorSpec,
     banana_spec,
@@ -102,6 +103,67 @@ def test_logistic_posterior_score_finite_difference():
     tgt = logistic_posterior(spec)
     X = stream(4, 0).normal(0.0, 0.8, (20, 4))
     check_score(tgt, X)
+
+
+def _logistic_unchunked(spec):
+    """The logistic log-density and score as one (B, n) pass each, written
+    as plain formulas: the reference the chunked kernel must match bit for
+    bit."""
+    X, y, sig2 = spec.X, spec.y, spec.prior_sigma**2
+
+    def log_unnorm(B):
+        eta = B @ X.T
+        log1pe = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+        ll = eta @ y - log1pe.sum(axis=1)
+        lp = -0.5 * np.sum(B * B, axis=1) / sig2
+        return ll + lp
+
+    def score(B):
+        eta = B @ X.T
+        mu = 1.0 / (1.0 + np.exp(-eta))
+        return (y - mu) @ X - B / sig2
+
+    return log_unnorm, score
+
+
+def test_logistic_chunked_kernel_is_bit_identical():
+    # every batch size up to a few chunks (64 rows at n = 1000) ends once
+    # mid-chunk and once on a boundary; 256 and 1024 are the training sizes
+    spec, _ = logistic_data(1000, 10, rho=0.5, seed=21)
+    tgt = logistic_posterior(spec)
+    ref_lu, ref_score = _logistic_unchunked(spec)
+    rg = stream(5, 0)
+    for nb in list(range(1, 140)) + [256, 1024]:
+        B = rg.normal(0.0, 0.5, (nb, 10))
+        B[::5] *= 400.0  # |eta| > 710: exp(-eta) overflows in the score
+        with np.errstate(over="ignore"):
+            assert np.array_equal(tgt.log_unnorm(B), ref_lu(B)), nb
+            assert np.array_equal(tgt.score(B), ref_score(B)), nb
+        assert tgt.log_unnorm(B[0]) == ref_lu(B[:1])[0]
+    assert np.abs(B @ spec.X.T).max() > 710.0
+
+
+def test_logistic_kernel_peak_memory():
+    # log_unnorm holds two chunk-sized buffers whatever the batch; score one
+    # (B, n) array. At B = 1024 the unchunked formulas peak at 33 MB and 25 MB.
+    import tracemalloc
+
+    spec, _ = logistic_data(1000, 10, rho=0.5, seed=21)
+    tgt = logistic_posterior(spec)
+    B = stream(6, 0).normal(0.0, 0.5, (1024, 10))
+    chunk_bytes = 8 * LOGISTIC_CHUNK_ELEMENTS
+    eta_bytes = 8 * B.shape[0] * spec.X.shape[0]
+    tracemalloc.start()
+    try:
+        tgt.log_unnorm(B)
+        lu_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        tgt.score(B)
+        score_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lu_peak <= 3 * chunk_bytes
+    assert score_peak <= 1.25 * eta_bytes
 
 
 def test_logistic_data_reproducible_and_binary():

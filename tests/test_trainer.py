@@ -98,6 +98,61 @@ def test_sinkhorn_nonconvergence_raises():
         sinkhorn_divergence(A, B, epsilon=0.01, iters=2, tol=1e-12)
 
 
+def _ot_entropic_unbuffered(A, B, epsilon, iters, tol):
+    """The log-domain Sinkhorn loop with a fresh array per operation: the
+    reference the one-buffer solver must match bit for bit."""
+    n, m = A.shape[0], B.shape[0]
+    C = trainer._sq_dists(A, B)
+    f, g = np.zeros(n), np.zeros(m)
+    loga, logb = -np.log(n), -np.log(m)
+    for _ in range(iters):
+        M = (g[None, :] - C) / epsilon + logb
+        mx = M.max(axis=1, keepdims=True)
+        f = -epsilon * (mx[:, 0] + np.log(np.sum(np.exp(M - mx), axis=1)))
+        M = (f[:, None] - C) / epsilon + loga
+        mx = M.max(axis=0, keepdims=True)
+        g = -epsilon * (mx[0] + np.log(np.sum(np.exp(M - mx), axis=0)))
+        logP = loga + logb + (f[:, None] + g[None, :] - C) / epsilon
+        P = np.exp(logP)
+        viol = max(
+            np.abs(P.sum(axis=1) - 1.0 / n).max(),
+            np.abs(P.sum(axis=0) - 1.0 / m).max(),
+        )
+        if viol <= tol:
+            break
+    return float(np.mean(f) + np.mean(g)), P, viol
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_ot_entropic_one_buffer_is_bit_identical(n):
+    rg = stream(35, n)
+    A = rg.standard_normal((n, 5))
+    B = 2.0 * rg.standard_normal((n, 5)) + 1.0
+    epsilon = 0.05 * trainer.median_sq_dist(A, B)
+    for iters, tol in ((5000, 1e-4), (3, 1e-12)):
+        value, P, viol = trainer._ot_entropic(A, B, epsilon, iters, tol)
+        ref_value, ref_P, ref_viol = _ot_entropic_unbuffered(A, B, epsilon, iters, tol)
+        assert value == ref_value
+        assert np.array_equal(P, ref_P)
+        assert viol == ref_viol
+
+
+def test_sinkhorn_settings_are_validated():
+    A = stream(36, 0).standard_normal((10, 2))
+    with pytest.raises(ValueError, match="iters"):
+        sinkhorn_divergence(A, A + 1.0, 1.0, iters=0)
+    for bad in (
+        {"iters": 0}, {"tol": 0.0}, {"tol": -1.0}, {"n_target_samples": 1},
+        {"init_steps": -1}, {"epsilon": 0.0}, {"epsilon": -0.5},
+    ):
+        with pytest.raises(ValueError):
+            SinkhornConfig(**bad)
+        with pytest.raises(ValueError):
+            TrainConfig.from_dict({"sinkhorn": bad})
+    SinkhornConfig(n_target_samples=2, epsilon=None, iters=1, tol=1e-9, init_steps=0)
+    SinkhornConfig(epsilon=0.3)
+
+
 def test_init_by_sinkhorn_reduces_divergence():
     spec = two_ball_spec()
     from otpost.refsampler import exact_mixture_sampler
