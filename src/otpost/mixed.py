@@ -21,7 +21,7 @@ from .potential import (
     PotentialBank,
     SingularJacobian,
     activation_deriv,
-    inv_spd,
+    chol_inverse,
     logdet_spd,
     push_rows,
     softmax,
@@ -395,10 +395,11 @@ def mixed_objective_grad(map, target: MixedTarget, X, gamma: float, jitter=None)
     labels = np.argmax(X1 + vals, axis=2)  # (B, n)
     idx = np.arange(B)[:, None]
     win = K * np.arange(n) + labels  # (B, n) winning local indices
-    Hsum = st.hessians(X2, s)[idx, win].sum(axis=1)  # (B, p, p)
-    if jitter:
-        Hsum = Hsum + jitter * np.eye(p)
-    logdetH, ok = logdet_spd(Hsum)
+    alpha_w = st.alpha[win]  # (B, n, M, p): only the winners' Hessians are formed
+    dphi_w = activation_deriv(st.activation, s[idx, win])  # (B, n, M)
+    Hsum = np.einsum("bnm,bnmp,bnmq->bnpq", dphi_w, alpha_w, alpha_w).sum(axis=1)
+    del alpha_w, dphi_w  # not held through param_vjp, the call's memory peak
+    logdetH, ok, chol = logdet_spd(Hsum, jitter)
     zeta = map.kappa * st.grads(X2, s)[idx, win].sum(axis=1)
     logpi = target.log_unnorm(labels, zeta)
     # Phat per observation, chunked over samples to bound memory
@@ -424,7 +425,7 @@ def mixed_objective_grad(map, target: MixedTarget, X, gamma: float, jitter=None)
     onehot[idx, win] = 1.0
     G = -map.kappa * np.asarray(target.score(labels, zeta), dtype=float)
     per = st.param_vjp(
-        X2[ok], gval.reshape(B, -1)[ok], onehot[ok], G[ok], -inv_spd(Hsum[ok]), s[ok]
+        X2[ok], gval.reshape(B, -1)[ok], onehot[ok], G[ok], -chol_inverse(chol[ok]), s[ok]
     )
     return per.mean(axis=0), objs, int(np.sum(~ok))
 

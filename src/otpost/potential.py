@@ -411,8 +411,8 @@ def softmax(z: np.ndarray, axis: int) -> np.ndarray:
 
 def logdet_spd(J: np.ndarray, jitter: float | None = None):
     """Log-determinants of a batch (B, p, p) of symmetric matrices (plus
-    jitter * I) and the mask of those a Cholesky factorization accepts;
-    the others get -inf."""
+    jitter * I), the mask of those a Cholesky factorization accepts and the
+    lower factors; the others get -inf and an unspecified factor."""
     B, p = J.shape[0], J.shape[1]
     if jitter:
         J = J + jitter * np.eye(p)
@@ -427,10 +427,52 @@ def logdet_spd(J: np.ndarray, jitter: float | None = None):
             except np.linalg.LinAlgError:
                 ok[b] = False
     logdet = np.full(B, -np.inf)
-    diag = np.diagonal(chol, axis1=1, axis2=2)
-    with np.errstate(invalid="ignore"):
-        logdet[ok] = 2.0 * np.sum(np.log(diag[ok]), axis=1)
-    return logdet, ok
+    logdet[ok] = 2.0 * np.sum(np.log(np.diagonal(chol[ok], axis1=1, axis2=2)), axis=1)
+    return logdet, ok, chol
+
+
+def chol_inverse(chol: np.ndarray) -> np.ndarray:
+    """Inverses of the matrices with the lower Cholesky factors chol (B, p, p)."""
+    inv_chol = np.linalg.inv(chol)
+    return np.einsum("bqp,bqr->bpr", inv_chol, inv_chol)
+
+
+def _smooth_pass(map: MaxPotentialMap, X: np.ndarray, second_order: bool = True):
+    """The smooth pass of a batch X (B, p): pre-activations s, softmax weights
+    omega, local gradients and value, then local Hessians and J if second_order."""
+    bank = map.bank
+    s = bank.pre(X)
+    omega = softmax(map.gamma_sharp * bank.values(X, s), axis=1)
+    grads = bank.grads(X, s)
+    value = np.einsum("bl,blp->bp", omega, grads)
+    if not second_order:
+        return s, omega, grads, value
+    hess = bank.hessians(X, s)
+    return s, omega, grads, value, hess, np.einsum("bl,blpq->bpq", omega, hess)
+
+
+def _param_grads(map: MaxPotentialMap, G, X, s, omega, grads, hess=None, chol=None):
+    """Per-sample parameter gradients of <G_b, T(x_b)> from the pass of X,
+    plus those of log det(chol_b chol_b^T) if the factors chol are given."""
+    gamma = map.gamma_sharp
+    # each local's score: G . grad u_l (+ tr(A hess u_l) with A the inverse)
+    score = np.einsum("bp,blp->bl", G, grads)
+    A = None
+    if chol is not None:
+        A = chol_inverse(chol)  # (B, p, p)
+        score = score + np.einsum("bpq,blqp->bl", A, hess)
+    delta = score - np.einsum("bl,bl->b", omega, score)[:, None]  # (B, L)
+    # gamma omega delta is the softmax-coupling weight on the local values
+    return map.bank.param_vjp(X, gamma * omega * delta, omega, G, A, s)
+
+
+def smooth_batch(map: MaxPotentialMap, X: np.ndarray, jitter: float | None = None):
+    """Smooth transport of a batch X (B, p): value, Jacobian J, log det(J +
+    jitter * I) and the mask of rows a Cholesky factorization accepts (the
+    others get -inf)."""
+    *_, value, _, J = _smooth_pass(map, X)
+    logdet, ok, _ = logdet_spd(J, jitter)
+    return value, J, logdet, ok
 
 
 def transport_smooth(
@@ -444,19 +486,6 @@ def transport_smooth(
     if not ok[0]:
         raise SingularJacobian(x)
     return value[0], J[0], float(logdet[0])
-
-
-def smooth_batch(map: MaxPotentialMap, X: np.ndarray, jitter: float | None = None):
-    """Batched smooth transport: (value, jac, logdet, valid mask)."""
-    bank = map.bank
-    s = bank.pre(X)
-    omega = softmax(map.gamma_sharp * bank.values(X, s), axis=1)
-    grads = bank.grads(X, s)
-    hess = bank.hessians(X, s)
-    value = np.einsum("bl,blp->bp", omega, grads)
-    J = np.einsum("bl,blpq->bpq", omega, hess)
-    logdet, ok = logdet_spd(J, jitter)
-    return value, J, logdet, ok
 
 
 def objective_sample(map, target, x) -> float:
@@ -477,74 +506,45 @@ def objective_batch(map, target, X: np.ndarray, jitter: float | None = None):
         vals = target.log_unnorm(map.apply(X)) + map.logdet()
         return vals, np.ones(X.shape[0], dtype=bool)
     value, _, logdet, ok = smooth_batch(map, X, jitter=jitter)
-    vals = np.where(ok, target.log_unnorm(value) + logdet, -np.inf)
-    return vals, ok
+    return np.where(ok, target.log_unnorm(value) + logdet, -np.inf), ok
 
 
 # ---------------------------------------------------------------------------
 # analytic parameter derivatives
 
 
-def inv_spd(J: np.ndarray) -> np.ndarray:
-    """Inverses of a batch (B, p, p) of symmetric positive-definite matrices."""
-    chol = np.linalg.cholesky(J)
-    inv_chol = np.linalg.inv(chol)
-    return np.einsum("bqp,bqr->bpr", inv_chol, inv_chol)
+def smooth_param_grads(map: MaxPotentialMap, X: np.ndarray, G: np.ndarray, with_logdet_of=None):
+    """Per-sample parameter gradients (B, n_params) of <G_b, T(x_b)> for a
+    batch X (B, p) and a cotangent G (B, p) on the value, plus those of
+    log det M_b if ``with_logdet_of`` holds positive-definite M (B, p, p),
+    such as J + jitter * I. Training reuses its own pass instead."""
+    if with_logdet_of is None:
+        return _param_grads(map, G, X, *_smooth_pass(map, X, second_order=False)[:3])
+    s, omega, grads, _, hess, _ = _smooth_pass(map, X)
+    return _param_grads(map, G, X, s, omega, grads, hess, np.linalg.cholesky(with_logdet_of))
 
 
-def smooth_param_grads(
-    map: MaxPotentialMap,
-    X: np.ndarray,
-    G: np.ndarray,
-    with_logdet_of: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-sample parameter gradients of <G_b, T(x_b)> (+ logdet if requested).
-
-    ``G`` is a (B, p) cotangent on the transport value (the target score when
-    differentiating the training objective). When ``with_logdet_of`` holds the
-    per-sample Jacobians, the tr(J^{-1} dJ/dtheta) term is added. Returns
-    (B, n_params) in the canonical flattening order.
-    """
-    bank = map.bank
-    gamma = map.gamma_sharp
-    s = bank.pre(X)
-    omega = softmax(gamma * bank.values(X, s), axis=1)
-    # each local's score: G . grad u_l (+ tr(J^{-1} hess u_l))
-    score = np.einsum("bp,blp->bl", G, bank.grads(X, s))
-    A = None
-    if with_logdet_of is not None:
-        A = inv_spd(with_logdet_of)  # (B, p, p)
-        score = score + np.einsum("bpq,blqp->bl", A, bank.hessians(X, s))
-    delta = score - np.einsum("bl,bl->b", omega, score)[:, None]  # (B, L)
-    # gamma omega delta is the softmax-coupling weight on the local values
-    return bank.param_vjp(X, gamma * omega * delta, omega, G, A, s)
-
-
-def param_grad_detail(
-    map: MaxPotentialMap, target, X: np.ndarray, jitter: float | None = None
-):
-    """Batch-mean objective gradient, per-sample objectives, skipped count."""
+def param_grad_detail(map: MaxPotentialMap, target, X: np.ndarray, jitter: float | None = None):
+    """Batch-mean gradient of log pi~(T(x)) + log det(J + jitter * I) over a
+    batch X (B, p), the per-sample objectives and the number of rows skipped
+    (objective -inf) because a Cholesky factorization rejects J + jitter * I.
+    One pass and one factorization serve all three; SingularJacobian if every
+    row is skipped."""
     X = np.asarray(X, dtype=float)
-    value, J, logdet, ok = smooth_batch(map, X, jitter=jitter)
-    n_skipped = int(np.sum(~ok))
+    s, omega, grads, value, hess, J = _smooth_pass(map, X)
+    logdet, ok, chol = logdet_spd(J, jitter)
     if not np.any(ok):
         raise SingularJacobian(X[0])
-    Xv, Jv, valv = X[ok], J[ok], value[ok]
-    if jitter:
-        # the objective's log-determinant is that of J + jitter * I
-        Jv = Jv + jitter * np.eye(X.shape[1])
-    G = np.asarray(target.score(valv), dtype=float)
-    per_sample = smooth_param_grads(map, Xv, G, with_logdet_of=Jv)
-    grad = per_sample.mean(axis=0)
+    G = np.asarray(target.score(value[ok]), dtype=float)
+    per_sample = _param_grads(map, G, *(a[ok] for a in (X, s, omega, grads, hess, chol)))
     objs = np.where(ok, target.log_unnorm(value) + logdet, -np.inf)
-    return grad, objs, n_skipped
+    return per_sample.mean(axis=0), objs, int(np.sum(~ok))
 
 
 def param_grad(map: MaxPotentialMap, target, batch, jitter: float | None = None):
     """Analytic gradient of the batch-mean objective w.r.t. all parameters."""
     X = batch.data if hasattr(batch, "data") else np.asarray(batch, dtype=float)
-    grad, _, _ = param_grad_detail(map, target, X, jitter=jitter)
-    return grad
+    return param_grad_detail(map, target, X, jitter=jitter)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potential import (
+from .potential import (  # noqa: F401 (smooth_batch, smooth_param_grads)
     AffineMap,
     MaxPotentialMap,
     SingularJacobian,
+    _param_grads,
+    _smooth_pass,
     objective_batch,
     param_grad_detail,
     smooth_batch,
@@ -79,6 +81,11 @@ class StopConfig:
     variance_tol: float = 0.0  # 0 disables variance stopping
     patience: int = 5
 
+    def __post_init__(self):
+        # the bounds of the "stop" object in schemas/config.v1.json
+        if self.window < 1 or self.patience < 1 or not self.variance_tol >= 0:
+            raise ValueError("stop needs window >= 1, patience >= 1 and variance_tol >= 0")
+
 
 @dataclass
 class TrainConfig:
@@ -99,6 +106,8 @@ class TrainConfig:
             raise ValueError("adam_betas must lie in (0, 1)")
         if self.batch_size < 1 or self.max_iters < 1 or self.learning_rate <= 0:
             raise ValueError("invalid training configuration")
+        if self.jitter is not None and not self.jitter >= 0:
+            raise ValueError("jitter must be None or >= 0")
 
     def to_json(self) -> str:
         doc = {
@@ -304,13 +313,6 @@ def _divergence_grad(A, B, epsilon, iters, tol):
     return _divergence_grad_from(A, B, P_ab, P_aa)
 
 
-def _map_apply_smooth(map, X):
-    if isinstance(map, AffineMap):
-        return map.apply(X)
-    value, _, _, _ = smooth_batch(map, X)
-    return value
-
-
 def _affine_theta(map: AffineMap):
     p = map.dim
     C = map.chol_factor
@@ -350,8 +352,7 @@ def init_by_sinkhorn(map, target_samples, config: TrainConfig):
     p = map.dim
     n = Y.shape[0]
     if isinstance(map, MaxPotentialMap):
-        theta = map.flat_params()
-        rebuild = lambda th: map.with_flat_params(th)
+        theta, rebuild = map.flat_params(), map.with_flat_params
     else:
         theta = _affine_theta(map)
         rebuild = lambda th: _affine_from_theta(th, p, map.n_scale)
@@ -360,15 +361,14 @@ def init_by_sinkhorn(map, target_samples, config: TrainConfig):
     cur = map
     for t in range(sk.init_steps):
         X = stream(config.seed, 7, t).standard_normal((n, p))
-        A = _map_apply_smooth(cur, X)
+        if isinstance(cur, MaxPotentialMap):  # one value-only pass serves the vjp too
+            *first, A = _smooth_pass(cur, X, second_order=False)
+            value_vjp = lambda gA: _param_grads(cur, gA, X, *first).sum(axis=0)
+        else:
+            A, value_vjp = cur.apply(X), lambda gA: _affine_value_vjp(cur, X, gA)
         if epsilon is None:
             epsilon = 0.05 * median_sq_dist(A, Y)
-        gA = _divergence_grad(A, Y, epsilon, sk.iters, sk.tol)
-        if isinstance(cur, MaxPotentialMap):
-            grad = smooth_param_grads(cur, X, gA).sum(axis=0)
-        else:
-            grad = _affine_value_vjp(cur, X, gA)
-        theta = theta + opt.step(grad)
+        theta = theta + opt.step(value_vjp(_divergence_grad(A, Y, epsilon, sk.iters, sk.tol)))
         cur = rebuild(theta)
     return cur
 
@@ -428,9 +428,7 @@ def train(map: MaxPotentialMap, target: TargetDensity, config: TrainConfig):
         m = cur.with_flat_params(theta)
         try:
             return param_grad_detail(m, target, X, jitter=config.jitter)
-        except (SingularJacobian, np.linalg.LinAlgError):
-            # every row singular, or an inverse that failed: a NaN step,
-            # which ends training as aborted
+        except SingularJacobian:  # every row skipped: a NaN step, which aborts training
             return np.full(theta.size, np.nan), np.full(X.shape[0], np.nan), X.shape[0]
 
     theta, report = _run_adam(cur.flat_params(), grad_fn, map.dim, config)

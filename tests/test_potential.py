@@ -1,6 +1,7 @@
 """Potential banks, max-potential maps, affine maps."""
 
 import json
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as hst
 
-from otpost import potential
+from otpost import potential, trainer
 from otpost.experiments import random_maxpot_map
 from otpost.potential import (
     Activation,
@@ -28,7 +29,7 @@ from otpost.potential import (
     transport_smooth,
 )
 from otpost.rng import stream
-from otpost.target import std_normal
+from otpost.target import gaussian_mixture, mixture_spec, std_normal
 
 
 def random_unit(p, seed):
@@ -264,14 +265,27 @@ def test_single_local_smooth_jacobian_matches_finite_difference():
         assert np.max(np.abs(fd - J)) <= 1e-4
 
 
-def test_param_grad_matches_finite_difference():
-    mp = random_map(2, 2, 2, seed=25)
-    tgt = std_normal(2)
-    X = stream(18, 0).standard_normal((16, 2))
+@pytest.mark.parametrize(
+    "p, L, M, seed, n_far",
+    [
+        pytest.param(2, 2, 2, 25, 0, id="L2"),
+        pytest.param(3, 3, 4, 29, 0, id="L3"),
+        # rows 1e4 from the origin saturate every tanh unit: their J is 0,
+        # and the gradient skips them
+        pytest.param(3, 3, 4, 29, 4, id="L3-skipped-rows"),
+    ],
+)
+def test_param_grad_matches_finite_difference(p, L, M, seed, n_far):
+    mp = random_map(p, L, M, seed=seed)
+    tgt = std_normal(p)
+    X = stream(18, 0).standard_normal((16 + n_far, p))
+    X[:n_far] *= 1e4
+    ok = smooth_batch(mp, X)[3]
+    assert np.sum(~ok) == n_far
 
     def mean_obj(theta):
         m = mp.with_flat_params(theta)
-        return np.mean([objective_sample(m, tgt, x) for x in X])
+        return np.mean([objective_sample(m, tgt, x) for x in X[ok]])
 
     theta0 = mp.flat_params()
     g = param_grad(mp, tgt, X)
@@ -309,6 +323,110 @@ def test_param_grad_differentiates_the_jittered_objective():
         e[j] = h
         fd = (mean_obj(theta0 + e) - mean_obj(theta0 - e)) / (2 * h)
         assert abs(fd - g[j]) / (1.0 + abs(g[j])) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# one forward pass and one factorization per training step
+
+
+def two_pass_gradients(mp, X, G, J=None):
+    """Per-sample parameter gradients of <G, T(x)> (+ log det J) from a
+    second forward pass, with J^-1 from a second factorization: the
+    composition that param_grad_detail and init_by_sinkhorn replaced."""
+    bank, gamma = mp.bank, mp.gamma_sharp
+    s = bank.pre(X)
+    omega = potential.softmax(gamma * bank.values(X, s), axis=1)
+    score = np.einsum("bp,blp->bl", G, bank.grads(X, s))
+    A = None
+    if J is not None:
+        inv_chol = np.linalg.inv(np.linalg.cholesky(J))
+        A = np.einsum("bqp,bqr->bpr", inv_chol, inv_chol)
+        score = score + np.einsum("bpq,blqp->bl", A, bank.hessians(X, s))
+    delta = score - np.einsum("bl,bl->b", omega, score)[:, None]
+    return bank.param_vjp(X, gamma * omega * delta, omega, G, A, s)
+
+
+def two_pass_detail(mp, target, X, jitter=None):
+    value, J, logdet, ok = smooth_batch(mp, X, jitter=jitter)
+    Jv = J[ok] + jitter * np.eye(X.shape[1]) if jitter else J[ok]
+    G = target.score(value[ok])
+    grad = two_pass_gradients(mp, X[ok], G, Jv).mean(axis=0)
+    objs = np.where(ok, target.log_unnorm(value) + logdet, -np.inf)
+    return grad, objs, int(np.sum(~ok)), (X[ok], G, Jv)
+
+
+def assert_detail_bit_identical(mp, target, X, jitter=None):
+    grad, objs, skipped = potential.param_grad_detail(mp, target, X, jitter=jitter)
+    want_grad, want_objs, want_skipped, (Xv, G, Jv) = two_pass_detail(mp, target, X, jitter)
+    assert np.array_equal(grad, want_grad)
+    assert np.array_equal(objs, want_objs)
+    assert skipped == want_skipped
+    # the public per-sample gradients give the same bits too
+    got = potential.smooth_param_grads(mp, Xv, G, with_logdet_of=Jv)
+    assert np.array_equal(got, two_pass_gradients(mp, Xv, G, Jv))
+    return skipped
+
+
+def test_one_pass_gradient_is_bit_identical_on_the_mixture_shape():
+    mp = random_maxpot_map(3, 16, 5, 0)
+    tgt = gaussian_mixture(mixture_spec(5, 3, 11))
+    X = stream(21, 0).standard_normal((256, 5))
+    assert assert_detail_bit_identical(mp, tgt, X) == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_pass_gradient_is_bit_identical_with_skipped_rows(seed):
+    # at gamma 200 one local dominates most rows: J has rank 2 of 4 there
+    mp = random_maxpot_map(3, 2, 4, seed, gamma_sharp=200.0)
+    X = stream(21, seed).standard_normal((64, 4))
+    assert 0 < assert_detail_bit_identical(mp, std_normal(4), X) < 64
+
+
+def test_one_pass_gradient_is_bit_identical_with_jitter():
+    mp = random_maxpot_map(1, 2, 4, 0)
+    X = stream(20, 0).standard_normal((16, 4))
+    assert assert_detail_bit_identical(mp, std_normal(4), X, jitter=1e-3) == 0
+
+
+def test_sinkhorn_init_step_is_bit_identical():
+    mp = random_maxpot_map(3, 16, 5, 0)
+    Y = 2.0 * stream(22, 0).standard_normal((64, 5))
+    sk = trainer.SinkhornConfig(n_target_samples=64, init_steps=1)
+    cfg = trainer.TrainConfig(batch_size=64, learning_rate=5e-3, seed=3, sinkhorn=sk)
+    # the one step of init_by_sinkhorn, with the gradient from a second pass
+    X = stream(cfg.seed, 7, 0).standard_normal((64, 5))
+    A = smooth_batch(mp, X)[0]
+    gA = trainer._divergence_grad(A, Y, 0.05 * trainer.median_sq_dist(A, Y), sk.iters, sk.tol)
+    grad = two_pass_gradients(mp, X, gA).sum(axis=0)
+    opt = trainer.Adam(grad.size, lr=10 * cfg.learning_rate, betas=cfg.adam_betas, eps=cfg.adam_eps)
+    want = mp.flat_params() + opt.step(grad)
+    assert np.array_equal(trainer.init_by_sinkhorn(mp, Y, cfg).flat_params(), want)
+    assert np.array_equal(potential.smooth_param_grads(mp, X, gA), two_pass_gradients(mp, X, gA))
+
+
+def test_a_training_step_runs_one_pass_and_one_factorization(monkeypatch):
+    mp = random_maxpot_map(3, 16, 5, 0)
+    tgt = gaussian_mixture(mixture_spec(5, 3, 11))
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("pre", "values", "grads", "hessians"):
+        monkeypatch.setattr(PotentialBank, name, counted(name, getattr(PotentialBank, name)))
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+    _, report = trainer.train(mp, tgt, trainer.TrainConfig(batch_size=64, max_iters=1, seed=1))
+    assert report.final_iter == 1 and report.skipped_singular == 0
+    assert calls == {"pre": 1, "values": 1, "grads": 1, "hessians": 1, "cholesky": 1}
+    # a Sinkhorn-init step needs the value part only
+    calls.clear()
+    sk = trainer.SinkhornConfig(n_target_samples=64, init_steps=1)
+    trainer.init_by_sinkhorn(mp, stream(22, 0).standard_normal((64, 5)), trainer.TrainConfig(sinkhorn=sk))
+    assert calls == {"pre": 1, "values": 1, "grads": 1}
 
 
 def vjp_objective(bank, X, gval, weight, G, A):

@@ -292,3 +292,31 @@ def test_config_validation():
         TrainConfig(adam_betas=(1.5, 0.9))
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    # the bounds of schemas/config.v1.json hold for configs built in code too
+    import json
+    import os
+
+    import jsonschema
+
+    import otpost
+
+    with open(os.path.join(os.path.dirname(otpost.__file__), "schemas", "config.v1.json")) as fh:
+        train_schema = json.load(fh)["properties"]["train"]
+    for bad in (
+        {"window": 1, "variance_tol": 1e-12, "patience": 0}, {"window": 0},
+        {"variance_tol": -1e-3}, {"patience": -1},
+    ):
+        with pytest.raises(ValueError):
+            StopConfig(**bad)
+        with pytest.raises(ValueError):
+            TrainConfig.from_dict({"stop": bad})
+        assert not jsonschema.Draft202012Validator(train_schema).is_valid({"stop": bad})
+    with pytest.raises(ValueError):
+        TrainConfig(jitter=-1.0)
+    assert not jsonschema.Draft202012Validator(train_schema).is_valid({"jitter": -1.0})
+    StopConfig(window=1, variance_tol=0.0, patience=1)
+    TrainConfig(jitter=0.0)
+    TrainConfig(jitter=None)
+    assert jsonschema.Draft202012Validator(train_schema).is_valid(
+        {"jitter": 0.0, "stop": {"window": 1, "variance_tol": 0.0, "patience": 1}}
+    )
