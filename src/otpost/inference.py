@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtr, chdtrc, gammaincinv
 
-from .mixed import MeanFieldGmmMap, SemiDiscreteMap, gmm_push, push_mixed
+from .mixed import MeanFieldGmmMap, SemiDiscreteMap, gmm_push
 from .potential import AffineMap, MaxPotentialMap, transport_hard
 from .rng import stream
 from .samples import SampleMatrix
@@ -75,15 +75,10 @@ def sample(map, N: int, seed: int) -> SampleMatrix:
     if isinstance(map, (AffineMap, MaxPotentialMap)):
         X = rg.standard_normal((N, map.dim))
         return SampleMatrix.continuous(_push_hard(map, X).reshape(N, map.dim))
-    if isinstance(map, SemiDiscreteMap):
-        r = map.embedding.r
+    if isinstance(map, (SemiDiscreteMap, MeanFieldGmmMap)):
+        r = map.label_dim
         X = rg.standard_normal((N, r + map.phi_dim))
-        taus, zetas = push_mixed(map, X[:, :r], X[:, r:])
-        return SampleMatrix.mixed(taus[:, None], zetas)
-    if isinstance(map, MeanFieldGmmMap):
-        nK = map.n_obs * map.K
-        X = rg.standard_normal((N, nK + map.phi_dim))
-        return SampleMatrix.mixed(*gmm_push(map, X[:, :nK], X[:, nK:]))
+        return SampleMatrix.mixed(*gmm_push(map, X[:, :r], X[:, r:]))
     raise TypeError(f"cannot sample from {type(map).__name__}")
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .samples import SampleMatrix
-from .trainer import _ot_entropic, SinkhornNonConvergence
+from .trainer import _ot_entropic, _sq_dists, SinkhornNonConvergence
 
 __all__ = [
     "w2_exact",
@@ -45,11 +45,7 @@ def w2_exact(A, B) -> float:
             f"w2_exact is capped at {W2_EXACT_CAP} points (got {n}); "
             "use w2_entropic for large clouds"
         )
-    C = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * A @ B.T
-    )
+    C = _sq_dists(A, B)
     np.maximum(C, 0.0, out=C)
     rows, cols = linear_sum_assignment(C)
     return float(np.sqrt(C[rows, cols].mean()))
@@ -175,23 +171,21 @@ def w2_entropic(A, B, epsilon: float, iters: int = 5000, tol: float = 1e-6) -> f
         raise ValueError("iters must be >= 1")
     if A.shape[0] * B.shape[0] > _BIG_ENTRIES:
         tol = max(tol, 1e-3)
-        viols = []
-        vals = []
-        for X, Y in ((A, B), (A, A), (B, B)):
+
+        def solve(X, Y):
             C = _sqdist32(X, Y)
-            v, viol = _ot_entropic_big(
+            return _ot_entropic_big(
                 C, epsilon, final_iters=min(iters, 3000),
                 scale_start=float(C.max()) / 8.0, tol=tol,
             )
-            vals.append(v)
-            viols.append(viol)
-        v_ab, v_aa, v_bb = vals
-        worst = max(viols)
     else:
-        v_ab, _, viol1 = _ot_entropic(A, B, epsilon, iters, tol)
-        v_aa, _, viol2 = _ot_entropic(A, A, epsilon, iters, tol)
-        v_bb, _, viol3 = _ot_entropic(B, B, epsilon, iters, tol)
-        worst = max(viol1, viol2, viol3)
+
+        def solve(X, Y):
+            v, _, viol = _ot_entropic(X, Y, epsilon, iters, tol)
+            return v, viol
+
+    (v_ab, v_aa, v_bb), viols = zip(*(solve(X, Y) for X, Y in ((A, B), (A, A), (B, B))))
+    worst = max(viols)
     if worst > tol:
         raise SinkhornNonConvergence(worst)
     value = v_ab - 0.5 * v_aa - 0.5 * v_bb

@@ -4,7 +4,9 @@ A mixed map takes a reference draw (x1, x2) with x1 in R^r and x2 in R^p
 and outputs a category tau = argmax_k {<x1, b_k> + phi_k(x2)} together with
 a continuous part zeta = kappa * grad phi_tau(x2). Categories are embedded
 as the vectors b_k. The mean-field variant assigns one such argmax per
-observation (labels) and averages the continuous gradients.
+observation (labels) and averages the continuous gradients. Both state
+one label layout (n_obs, K, label_dim, label_scores) that every mixed
+operation reads, so a semi-discrete map is the one-observation case.
 """
 
 from __future__ import annotations
@@ -106,13 +108,23 @@ class SemiDiscreteMap:
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
 
+    n_obs = 1  # label layout: one observation, label scores x1 @ b_k
+
     @property
-    def n_categories(self) -> int:
+    def K(self) -> int:
         return self.embedding.n_categories
 
     @property
     def phi_dim(self) -> int:
         return self.bank.p
+
+    @property
+    def label_dim(self) -> int:
+        return self.embedding.r
+
+    def label_scores(self, X1) -> np.ndarray:
+        """Label offsets (B, 1, K) of the label draws X1 (B, r)."""
+        return (X1 @ self.embedding.vectors.T)[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -144,6 +156,14 @@ class MeanFieldGmmMap:
     def phi_dim(self) -> int:
         return self.K * self.d
 
+    @property
+    def label_dim(self) -> int:
+        return self.n_obs * self.K
+
+    def label_scores(self, X1) -> np.ndarray:
+        """Label offsets (B, n_obs, K) of the label draws X1 (B, n_obs K)."""
+        return X1.reshape(X1.shape[0], self.n_obs, self.K)
+
 
 @dataclass(frozen=True)
 class MixedTarget:
@@ -162,33 +182,31 @@ def push_mixed(map: SemiDiscreteMap, x1, x2):
     """(tau, zeta) for one reference point or a batch; ties go to the lowest index.
 
     One point x1 (r,), x2 (p,) gives an int tau and zeta (p,); a batch
-    x1 (B, r), x2 (B, p) gives tau (B,) and zeta (B, p). Rows are pushed in
-    chunks of at most ``potential.PUSH_CHUNK_ELEMENTS`` pre-activations, so
-    the memory beyond the inputs and outputs does not grow with B.
+    x1 (B, r), x2 (B, p) gives tau (B,) and zeta (B, p). The push is
+    ``gmm_push`` with one observation.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    single = x2.ndim == 1
     X1, X2 = np.atleast_2d(x1), np.atleast_2d(x2)
     if (
         x1.ndim != x2.ndim
         or X2.shape[1:] != (map.phi_dim,)
-        or X1.shape != (X2.shape[0], map.embedding.r)
+        or X1.shape != (X2.shape[0], map.label_dim)
     ):
         raise ValueError("dimension mismatch")
-    tau, gsum = push_rows(map.bank, X2, X1 @ map.embedding.vectors.T)
-    tau, zeta = tau[:, 0], map.kappa * gsum
-    if single:
-        return int(tau[0]), zeta[0]
-    return tau, zeta
+    tau, zeta = gmm_push(map, X1, X2)
+    if x2.ndim == 1:
+        return int(tau[0, 0]), zeta[0]
+    return tau[:, 0], zeta
 
 
-def gmm_push(map: MeanFieldGmmMap, x1_blocks, x2):
-    """Per-observation labels and the averaged continuous part.
+def gmm_push(map, x1_blocks, x2):
+    """Per-observation labels and the averaged continuous part, for either
+    mixed family.
 
-    One point x1_blocks (n_obs K,) or (n_obs, K), x2 (p,) gives labels
-    (n_obs,) and zeta (p,); a batch x1_blocks (B, n_obs K), x2 (B, p) gives
-    labels (B, n_obs) and zeta (B, p). Rows are pushed in chunks of at most
+    One point x1_blocks (label_dim,), x2 (p,) gives labels (n_obs,) and zeta
+    (p,); a batch x1_blocks (B, label_dim), x2 (B, p) gives labels
+    (B, n_obs) and zeta (B, p). Rows are pushed in chunks of at most
     ``potential.PUSH_CHUNK_ELEMENTS`` pre-activations, so the memory beyond
     the inputs and outputs does not grow with B.
     """
@@ -197,58 +215,58 @@ def gmm_push(map: MeanFieldGmmMap, x1_blocks, x2):
     X2 = np.atleast_2d(x2)
     if X2.ndim != 2 or X2.shape[1] != map.phi_dim:
         raise ValueError("dimension mismatch")
-    X1 = np.asarray(x1_blocks, dtype=float).reshape(X2.shape[0], map.n_obs * map.K)
-    labels, gsum = push_rows(map.bank, X2, X1, map.n_obs)
+    B = X2.shape[0]
+    X1 = np.asarray(x1_blocks, dtype=float).reshape(B, map.label_dim)
+    offsets = map.label_scores(X1).reshape(B, map.n_obs * map.K)
+    labels, gsum = push_rows(map.bank, X2, offsets, map.n_obs)
     zeta = map.kappa * gsum
     if single:
         return labels[0], zeta[0]
     return labels, zeta
 
 
-def mixed_logdet(map, tau, x2) -> float:
-    """log |det| of the continuous block of the mixed map Jacobian.
+def _winner_logdet(map, s, win, jitter=None):
+    """p log(kappa) + log det of the summed Hessians of the winning locals
+    win (B, n_obs) at pre-activations s (B, L, M), with the Cholesky mask and
+    factors of ``logdet_spd``. The label block contributes no volume."""
+    bank = map.bank
+    alpha_w = bank.alpha[win]  # (B, n_obs, M, p)
+    dphi_w = activation_deriv(bank.activation, s[np.arange(win.shape[0])[:, None], win])
+    Hsum = np.einsum("bnm,bnmp,bnmq->bnpq", dphi_w, alpha_w, alpha_w).sum(axis=1)
+    logdetH, ok, chol = logdet_spd(Hsum, jitter)
+    return map.phi_dim * np.log(map.kappa) + logdetH, ok, chol
 
-    Equals p*log(kappa) + log det of the winning Hessian (summed over
-    observations for the mean-field map); the label block contributes no
-    volume. Only the winning locals' Hessians are formed. Raises
-    SingularJacobian on a non-positive-definite Hessian.
+
+def mixed_logdet(map, tau, x2) -> float:
+    """log |det| of the continuous block of the mixed map Jacobian at labels
+    tau (an int, or (n_obs,) for a mean-field map).
+
+    Decided as in training (``_winner_logdet``): raises SingularJacobian
+    where a Cholesky factorization rejects the winning Hessian sum.
     """
     x2 = np.asarray(x2, dtype=float)
-    p = map.phi_dim
-    bank = map.bank
-    if isinstance(map, SemiDiscreteMap):
-        win = np.array([int(tau)])
-    else:
-        win = map.K * np.arange(map.n_obs) + np.asarray(tau, dtype=int)
-    A = bank.alpha[win].reshape(-1, p)  # (winners x M, p)
-    dphi = activation_deriv(bank.activation, A @ x2 + bank.w[win].ravel())
-    H = (dphi[:, None] * A).T @ A
-    sign, logdet = np.linalg.slogdet(H)
-    if sign <= 0:
+    win = map.K * np.arange(map.n_obs) + np.asarray(tau, dtype=int).reshape(1, map.n_obs)
+    logdet, ok, _ = _winner_logdet(map, map.bank.pre(x2[None, :]), win)
+    if not ok[0]:
         raise SingularJacobian(x2)
-    return float(p * np.log(map.kappa) + logdet)
+    return float(logdet[0])
 
 
 def conditional_prob_estimate(map, tau, x2, n_inner: int, seed: int, gamma: float = 10.0) -> float:
     """Monte Carlo softmax estimate of P(tau | x2) under the reference.
 
-    Averages, over reference draws z on the embedding space, the gamma-softmax
-    weight of category tau among the scores <z, b_k> + phi_k(x2). Smooth in
-    the map parameters; exact (=1) when there is a single category.
+    Averages, over reference label draws z, the gamma-softmax weight of each
+    observation's label among its scores ``label_scores(z) + phi_k(x2)``, and
+    multiplies the observations' averages. Smooth in the map parameters;
+    exact (=1) when there is a single category.
     """
     if n_inner < 1:
         raise ValueError("n_inner must be >= 1")
     x2 = np.asarray(x2, dtype=float)
-    if isinstance(map, SemiDiscreteMap):
-        vals = map.bank.values(x2[None, :])[0]  # (K,)
-        Z = stream(seed, 5).standard_normal((n_inner, map.embedding.r))
-        scores = Z @ map.embedding.vectors.T + vals
-        W = softmax(gamma * scores, axis=1)
-        return float(np.mean(W[:, int(tau)]))
-    labels = np.asarray(tau, dtype=int)
+    labels = np.asarray(tau, dtype=int).reshape(map.n_obs)
     vals = map.bank.values(x2[None, :])[0].reshape(map.n_obs, map.K)
-    Z = stream(seed, 5).standard_normal((n_inner, map.n_obs, map.K))
-    W = softmax(gamma * (Z + vals), axis=2)
+    Z = stream(seed, 5).standard_normal((n_inner, map.label_dim))
+    W = softmax(gamma * (map.label_scores(Z) + vals), axis=2)
     per_obs = W[:, np.arange(map.n_obs), labels].mean(axis=0)
     return float(np.prod(per_obs))
 
@@ -361,10 +379,8 @@ def with_flat_params(map, theta: np.ndarray):
 
 
 def reference_dim(map) -> int:
-    """Total reference dimension r + p for a mixed map."""
-    if isinstance(map, SemiDiscreteMap):
-        return map.embedding.r + map.phi_dim
-    return map.n_obs * map.K + map.phi_dim
+    """Total reference dimension label_dim + p for a mixed map."""
+    return map.label_dim + map.phi_dim
 
 
 def mixed_objective_grad(map, target: MixedTarget, X, gamma: float, jitter=None):
@@ -374,32 +390,22 @@ def mixed_objective_grad(map, target: MixedTarget, X, gamma: float, jitter=None)
     The categorical winners are piecewise constant in the parameters, so
     only the smooth softmax probability, the continuous density and the
     log-determinant contribute gradients. The x1 batch doubles as the inner
-    Monte Carlo sample for Phat. A semi-discrete map is the one-observation
-    case, with label offsets x1 @ b_k. Returns (grad, per-sample objectives,
+    Monte Carlo sample for Phat. Returns (grad, per-sample objectives,
     skipped count); samples whose winning Hessian a Cholesky factorization
     rejects are skipped.
     """
     X = np.asarray(X, dtype=float)
     B = X.shape[0]
     st = map.bank
-    p = map.phi_dim
-    if isinstance(map, SemiDiscreteMap):
-        n, K, r = 1, map.n_categories, map.embedding.r
-        X1 = (X[:, :r] @ map.embedding.vectors.T).reshape(B, 1, K)
-    else:
-        n, K, r = map.n_obs, map.K, map.n_obs * map.K
-        X1 = X[:, :r].reshape(B, n, K)
+    n, K, r = map.n_obs, map.K, map.label_dim
+    X1 = map.label_scores(X[:, :r])
     X2 = X[:, r:]
     s = st.pre(X2)
     vals = st.values(X2, s).reshape(B, n, K)
     labels = np.argmax(X1 + vals, axis=2)  # (B, n)
     idx = np.arange(B)[:, None]
     win = K * np.arange(n) + labels  # (B, n) winning local indices
-    alpha_w = st.alpha[win]  # (B, n, M, p): only the winners' Hessians are formed
-    dphi_w = activation_deriv(st.activation, s[idx, win])  # (B, n, M)
-    Hsum = np.einsum("bnm,bnmp,bnmq->bnpq", dphi_w, alpha_w, alpha_w).sum(axis=1)
-    del alpha_w, dphi_w  # not held through param_vjp, the call's memory peak
-    logdetH, ok, chol = logdet_spd(Hsum, jitter)
+    logdet, ok, chol = _winner_logdet(map, s, win, jitter)
     zeta = map.kappa * st.grads(X2, s)[idx, win].sum(axis=1)
     logpi = target.log_unnorm(labels, zeta)
     # Phat per observation, chunked over samples to bound memory
@@ -419,7 +425,7 @@ def mixed_objective_grad(map, target: MixedTarget, X, gamma: float, jitter=None)
         g = -gamma * cross / S1[..., None]
         g[np.arange(hi - lo)[:, None], obs, lb] += gamma
         gval[lo:hi] = g
-    objs = np.where(ok, log_phat - logpi - (p * np.log(map.kappa) + logdetH), np.inf)
+    objs = np.where(ok, log_phat - logpi - logdet, np.inf)
     # the winners carry the density and log-determinant cotangents
     onehot = np.zeros((B, st.L))
     onehot[idx, win] = 1.0

@@ -340,36 +340,32 @@ def _affine_value_vjp(map: AffineMap, X, G):
 
 
 def init_by_sinkhorn(map, target_samples, config: TrainConfig):
-    """Pretrain map parameters by minimizing the Sinkhorn divergence.
+    """Pretrain a MaxPotentialMap's parameters by minimizing the Sinkhorn
+    divergence; any other map raises TypeError.
 
     ``target_samples`` are (approximate) draws from the target; accuracy
     requirements are mild since this only initializes the KL training.
     """
+    if not isinstance(map, MaxPotentialMap):
+        raise TypeError(f"init_by_sinkhorn takes a MaxPotentialMap, not {type(map).__name__}")
     sk = config.sinkhorn or SinkhornConfig()
     if sk.init_steps <= 0:
         return map
     Y = target_samples.data if isinstance(target_samples, SampleMatrix) else np.asarray(target_samples, dtype=float)
     p = map.dim
     n = Y.shape[0]
-    if isinstance(map, MaxPotentialMap):
-        theta, rebuild = map.flat_params(), map.with_flat_params
-    else:
-        theta = _affine_theta(map)
-        rebuild = lambda th: _affine_from_theta(th, p, map.n_scale)
+    theta = map.flat_params()
     opt = Adam(theta.size, lr=config.learning_rate * 10, betas=config.adam_betas, eps=config.adam_eps)
     epsilon = sk.epsilon
     cur = map
     for t in range(sk.init_steps):
         X = stream(config.seed, 7, t).standard_normal((n, p))
-        if isinstance(cur, MaxPotentialMap):  # one value-only pass serves the vjp too
-            *first, A = _smooth_pass(cur, X, second_order=False)
-            value_vjp = lambda gA: _param_grads(cur, gA, X, *first).sum(axis=0)
-        else:
-            A, value_vjp = cur.apply(X), lambda gA: _affine_value_vjp(cur, X, gA)
+        *first, A = _smooth_pass(cur, X, second_order=False)  # one value-only pass serves the vjp too
         if epsilon is None:
             epsilon = 0.05 * median_sq_dist(A, Y)
-        theta = theta + opt.step(value_vjp(_divergence_grad(A, Y, epsilon, sk.iters, sk.tol)))
-        cur = rebuild(theta)
+        gA = _divergence_grad(A, Y, epsilon, sk.iters, sk.tol)
+        theta = theta + opt.step(_param_grads(cur, gA, X, *first).sum(axis=0))
+        cur = map.with_flat_params(theta)
     return cur
 
 

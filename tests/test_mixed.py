@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as hst
 
 from otpost import potential, trainer
+from otpost.inference import sample
 from otpost.mixed import (
     Embedding,
     GmmPrior,
@@ -346,7 +347,7 @@ def test_mixed_objective_grad_finite_difference_meanfield():
 def test_mixed_objective_grad_skips_rank_deficient_hessians():
     # 3 units in 6 dimensions: every winning Hessian has rank 3, yet slogdet
     # gives some of them sign +1; the rows a Cholesky factorization rejects
-    # are skipped, not passed on to inv_spd
+    # are skipped, not passed on to the inverse
     K, d = 3, 2
     mp = random_semidiscrete_map(K=K, p=K * d, M=3, seed=21, kappa=0.7)
     tgt = discrete_mixture_target(
@@ -357,6 +358,16 @@ def test_mixed_objective_grad_skips_rank_deficient_hessians():
     grad, objs, skipped = mixed_objective_grad(mp, tgt, X, gamma=5.0)
     assert skipped == np.sum(objs == np.inf) > 0
     assert grad.shape == flat_params(mp).shape
+    # mixed_logdet decides singularity by the same Cholesky rule: it raises
+    # on exactly the skipped rows, although slogdet gives some of them +1
+    taus, _ = push_mixed(mp, X[:, :K], X[:, K:])
+    raised = np.zeros(40, dtype=bool)
+    for b in range(40):
+        try:
+            assert np.isfinite(mixed_logdet(mp, taus[b], X[b, K:]))
+        except potential.SingularJacobian:
+            raised[b] = True
+    assert np.array_equal(raised, objs == np.inf)
 
 
 def test_semidiscrete_is_the_one_observation_meanfield_case():
@@ -377,6 +388,18 @@ def test_semidiscrete_is_the_one_observation_meanfield_case():
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
         assert got[2] == want[2]
+    # and through every other mixed operation
+    taus, zetas = push_mixed(sd, X[:, :K], X[:, K:])
+    labels, zetas_gm = gmm_push(gm, X[:, :K], X[:, K:])
+    assert np.array_equal(labels, taus[:, None])
+    np.testing.assert_array_equal(zetas, zetas_gm)
+    np.testing.assert_array_equal(sample(sd, 50, seed=3).data, sample(gm, 50, seed=3).data)
+    for b in range(5):
+        x2 = X[b, K:]
+        assert conditional_prob_estimate(sd, taus[b], x2, 64, seed=b) == conditional_prob_estimate(
+            gm, labels[b], x2, 64, seed=b
+        )
+        assert mixed_logdet(sd, taus[b], x2) == mixed_logdet(gm, labels[b], x2)
 
 
 def test_train_mixed_improves_discrete_mixture_fit():
@@ -410,7 +433,7 @@ def test_mixed_map_json_round_trip():
 
 
 def orthant_offsets_one_row(pi, iters=60):
-    """Per-row reference: the scalar fixed point of one row of marginals."""
+    """Per-row reference: the scalar damped fixed point of one row of marginals."""
     from numpy.polynomial.hermite_e import hermegauss
     from scipy.stats import norm
 
@@ -424,7 +447,7 @@ def orthant_offsets_one_row(pi, iters=60):
         for k in range(K):
             t = nodes[:, None] + v[k] - np.delete(v, k)[None, :]
             probs[k] = weights @ np.prod(norm.cdf(t), axis=1)
-        v += np.log(np.maximum(pi, 1e-12)) - np.log(np.maximum(probs, 1e-12))
+        v += 0.5 * (np.log(np.maximum(pi, 1e-12)) - np.log(np.maximum(probs, 1e-12)))
         v -= v.max()
     return v, probs
 
@@ -451,3 +474,13 @@ def test_match_orthant_offsets_batched_matches_rows(K):
     for i in range(2, 6):
         hits = np.bincount(np.argmax(x + v[i], axis=1), minlength=K) / x.shape[0]
         np.testing.assert_allclose(hits, pi[i], rtol=0, atol=0.005)
+
+
+def test_match_orthant_offsets_converges_with_a_near_certain_label():
+    # rows of the gmm benchmark's Gibbs marginals on which the undamped
+    # fixed point oscillated and ended 0.2 to 0.35 away from pi
+    from otpost.experiments import _match_orthant_offsets
+
+    pi = np.array([[0.0, 0.0029, 0.9971], [0.0021, 0.9979, 0.0]])
+    _, probs = _match_orthant_offsets(pi)
+    np.testing.assert_allclose(probs, pi, rtol=0, atol=1e-3)

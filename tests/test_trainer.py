@@ -176,6 +176,12 @@ def test_init_by_sinkhorn_reduces_divergence():
     assert after < before
 
 
+def test_init_by_sinkhorn_takes_max_potential_maps_only():
+    affine = AffineMap(m=np.zeros(2), chol_factor=np.eye(2))
+    with pytest.raises(TypeError):
+        init_by_sinkhorn(affine, np.zeros((8, 2)), TrainConfig(sinkhorn=SinkhornConfig(init_steps=1)))
+
+
 # ---------------------------------------------------------------------------
 # training loops
 
