@@ -107,17 +107,34 @@ def activation_antiderivative(activation: Activation, u):
     """
     u = np.asarray(u, dtype=float)
     if activation == Activation.TANH:
-        # log cosh, overflow-safe
-        a = np.abs(u)
-        return a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)
+        # log cosh = |u| + log1p(exp(-2|u|)) - log 2, overflow-safe; in place
+        # in the output a and one scratch array t, in the formula's order
+        a = np.abs(u, out=np.empty(u.shape))
+        t = np.multiply(-2.0, a, out=np.empty(u.shape))
+        np.exp(t, out=t)
+        np.log1p(t, out=t)
+        a += t
+        a -= np.log(2.0)
+        return a[()]
     if activation == Activation.SOFTSIGN:
-        a = np.abs(u)
-        return a - np.log1p(a)
+        a = np.abs(u, out=np.empty(u.shape))
+        a -= np.log1p(a)
+        return a[()]
     if activation == Activation.SQNL:
         a = np.abs(u)
         inner = u * u / 2.0 - np.sign(u) * u ** 3 / 12.0
         return np.where(a > 2.0, a - 2.0 / 3.0, inner)
     raise ValueError(f"unknown activation {activation!r}")
+
+
+# Row chunks of a hard push, and of PotentialBank.values on a batch without
+# its pre-activations, hold at most this many pre-activations (rows x L x M).
+# One 1000-draw batch of a 300-observation, 3-label gmm map would otherwise
+# need a 94 MB block, and the 200,000-point rebalance of an L=3, M=16 map a
+# 77 MB block plus the antiderivative's buffers (computed in place, one output
+# and one scratch array); budgets of 2**15 to 2**17 push equally fast on one
+# core, and larger blocks are slower because memory-bound.
+PUSH_CHUNK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,9 +184,23 @@ class PotentialBank:
         return np.einsum("bp,lmp->blm", X, self.alpha) + self.w
 
     def values(self, X, s=None):
-        s = self.pre(X) if s is None else s
-        F = activation_antiderivative(self.activation, s)
-        return F.sum(axis=2) + X @ self.beta_sum.T + self.v_sum  # (B, L)
+        """Local values u_l(x_b) (B, L) of a batch X (B, p), from the
+        pre-activations s if given. Without s, X is walked in row chunks of
+        at most ``PUSH_CHUNK_ELEMENTS`` pre-activations, so the peak is the
+        output and the linear term plus one chunk's buffers. The linear term
+        is added over the whole batch, which keeps the product's row blocking
+        and so the bits of one pass."""
+        if s is not None:
+            F = activation_antiderivative(self.activation, s).sum(axis=2)
+        else:
+            F = np.empty((X.shape[0], self.L))
+            step = max(1, PUSH_CHUNK_ELEMENTS // (self.L * self.M))
+            for lo in range(0, X.shape[0], step):
+                Fc = activation_antiderivative(self.activation, self.pre(X[lo : lo + step]))
+                F[lo : lo + step] = Fc.sum(axis=2)
+        F += X @ self.beta_sum.T
+        F += self.v_sum
+        return F
 
     def grads(self, X, s=None):
         s = self.pre(X) if s is None else s
@@ -352,13 +383,6 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-# Row chunks of a hard push hold at most this many pre-activations
-# (rows x L x M). One 1000-draw batch of a 300-observation, 3-label gmm map
-# would otherwise need a 94 MB block; budgets of 2**15 to 2**17 push equally
-# fast on one core, and larger blocks are slower because memory-bound.
-PUSH_CHUNK_ELEMENTS = 2**16
-
-
 def push_rows(bank: PotentialBank, X, offsets=None, n_groups: int = 1):
     """Per-group argmax winners and their summed gradients: the hard push of
     every map, in row chunks. The L locals form ``n_groups`` consecutive
@@ -376,11 +400,20 @@ def push_rows(bank: PotentialBank, X, offsets=None, n_groups: int = 1):
     step = max(1, PUSH_CHUNK_ELEMENTS // (L * M))
     for lo in range(0, B, step):
         Xc = X[lo : lo + step]
-        rows = np.arange(Xc.shape[0])[:, None]
         # One matrix product, the transpose partner of the gradient product
         # below. bank.pre keeps its einsum: the fits and the rebalance sum it,
         # and the mixture fit is chaotic under last-bit changes.
         s = (Xc @ alpha.T + bank.w.ravel()).reshape(-1, L, M)
+        if K == 1:
+            # every group holds one local, so every local wins and no scores
+            # are needed; these are the products of an all-ones mask below
+            gsum[lo : lo + step] = (
+                activation_value(bank.activation, s).reshape(-1, L * M) @ alpha
+                + np.ones((Xc.shape[0], L)) @ bank.beta_sum
+            )
+            winners[lo : lo + step] = 0
+            continue
+        rows = np.arange(Xc.shape[0])[:, None]
         scores = bank.values(Xc, s)
         if offsets is not None:
             scores += offsets[lo : lo + step]

@@ -1,4 +1,7 @@
-"""Shared test hooks: surface acceptance-criterion results in the summary."""
+"""Shared test hooks: surface acceptance-criterion results in the summary,
+and measure the peak memory of one call."""
+
+import tracemalloc
 
 from hypothesis import settings
 
@@ -14,3 +17,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in criterion_lines:
             terminalreporter.write_line(line)
+
+
+def peak_traced_bytes(fn, *args) -> int:
+    """Peak bytes that Python and numpy allocate while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

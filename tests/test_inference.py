@@ -26,6 +26,7 @@ from otpost.inference import (
 from otpost.experiments import random_maxpot_map
 from otpost.potential import AffineMap, transport_hard
 from otpost.rng import stream
+from tests.conftest import peak_traced_bytes
 from tests.test_potential import random_map
 
 
@@ -283,37 +284,23 @@ def test_sample_gmm_peak_memory_is_chunked():
     # Unchunked, the 2000 x 900 x 4 pre-activations alone take 58 MB. The
     # peak may hold the reference draws, the labels and the output matrix,
     # plus row-chunk temporaries of fixed size.
-    import tracemalloc
-
     from otpost.mixed import random_gmm_map
 
     mp = random_gmm_map(n_obs=300, K=3, d=2, M=4, seed=58)
     N = 2000
-    tracemalloc.start()
-    try:
-        out = sample(mp, N, seed=13)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     draws_bytes = N * (300 * 3 + mp.phi_dim) * 8
-    assert peak <= draws_bytes + 2 * out.data.nbytes + 2**22
+    out_bytes = N * (300 + mp.phi_dim) * 8
+    assert peak_traced_bytes(sample, mp, N, 13) <= draws_bytes + 2 * out_bytes + 2**22
 
 
 def test_sample_maxpot_peak_memory_is_chunked():
     # Unchunked, the 100,000 x 3 x 16 pre-activations alone take 38 MB. The
     # peak may hold the reference draws, the output, the winners and
     # row-chunk temporaries of fixed size.
-    import tracemalloc
-
     mp = random_maxpot_map(3, 16, 5, 0)
     N = 100_000
-    tracemalloc.start()
-    try:
-        out = sample(mp, N, seed=14)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * out.data.nbytes + N * 8 + 2**22
+    out_bytes = N * 5 * 8
+    assert peak_traced_bytes(sample, mp, N, 14) <= 2 * out_bytes + N * 8 + 2**22
 
 
 def test_contour_csv_round_trip(tmp_path):

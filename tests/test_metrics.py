@@ -17,6 +17,7 @@ from otpost.metrics import (
 )
 from otpost.rng import stream
 from otpost.trainer import SinkhornNonConvergence
+from tests.conftest import peak_traced_bytes
 
 
 def brute_force_w2(A, B):
@@ -138,8 +139,6 @@ def test_w2_entropic_large_clouds_stay_float32():
     # 2001 x 2001 entries take the large-cloud solver. A float64 n x m array
     # next to the float32 cost matrix and work buffer would lift the peak to
     # four float32 n x m arrays or more.
-    import tracemalloc
-
     from otpost.metrics import _BIG_ENTRIES, _ot_entropic_big, _sqdist32
     from otpost.trainer import _ot_entropic
 
@@ -148,13 +147,7 @@ def test_w2_entropic_large_clouds_stay_float32():
     rg = stream(66, 0)
     A = rg.standard_normal((n, 2))
     B = rg.standard_normal((n, 2)) + 1.0
-    tracemalloc.start()
-    try:
-        w2_entropic(A, B, epsilon=1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * 4 * n * n
+    assert peak_traced_bytes(w2_entropic, A, B, 1.0) <= 2.5 * 4 * n * n
     C = _sqdist32(A, B)
     assert C.dtype == np.float32
     big, viol = _ot_entropic_big(C, 1.0, final_iters=3000, scale_start=float(C.max()) / 8.0)

@@ -30,6 +30,7 @@ from otpost.potential import (
 )
 from otpost.rng import stream
 from otpost.target import gaussian_mixture, mixture_spec, std_normal
+from tests.conftest import peak_traced_bytes
 
 
 def random_unit(p, seed):
@@ -166,6 +167,64 @@ def test_local_potential_is_convex():
     mid = lam[:, None] * X + (1 - lam[:, None]) * Y
     ux, uy, um = (bank.values(P)[:, 0] for P in (X, Y, mid))
     assert np.all(um <= lam * ux + (1 - lam) * uy + 1e-9)
+
+
+def antiderivative_formula(act, u):
+    """F(u) as one expression per activation, each step a fresh array: the
+    reference the in-place antiderivative must match bit for bit."""
+    a = np.abs(u)
+    if act == Activation.TANH:
+        return a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)
+    if act == Activation.SOFTSIGN:
+        return a - np.log1p(a)
+    return np.where(a > 2.0, a - 2.0 / 3.0, u * u / 2.0 - np.sign(u) * u**3 / 12.0)
+
+
+def values_unchunked(bank, X):
+    """All local values of a batch in one pass, as a plain formula."""
+    s = np.einsum("bp,lmp->blm", X, bank.alpha) + bank.w
+    return antiderivative_formula(bank.activation, s).sum(axis=2) + X @ bank.beta_sum.T + bank.v_sum
+
+
+@pytest.mark.parametrize("act", list(Activation))
+def test_antiderivative_in_place_is_bit_identical(act):
+    # |u| > 400: exp(-2|u|) underflows to 0; the sign of a zero must not leak
+    u = np.array([0.0, -0.0, 1e-300, -0.3, 0.7, 2.5, -3.0, 400.5, -401.0, 750.0, -1e6])
+    got = activation_antiderivative(act, u)
+    want = antiderivative_formula(act, u)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(activation_antiderivative(act, u.reshape(11, 1, 1)), want.reshape(11, 1, 1))
+    if act == Activation.TANH:
+        assert np.array_equal(got[7:], np.abs(u[7:]) - np.log(2.0))
+
+
+@pytest.mark.parametrize("L", [1, 3])
+@pytest.mark.parametrize("act", list(Activation))
+def test_values_chunked_is_bit_identical(act, L):
+    # a budget of 4 rows per chunk: batches of 0 to 13 rows end mid-chunk, on
+    # a boundary (4, 8, 12) and with a one-row tail (5, 9, 13)
+    M, p = 6, 4
+    bank = random_maxpot_map(L, M, p, 31, activation=act).bank
+    X = 1.5 * stream(32, 0).standard_normal((13, p))
+    X[::4] *= 300.0  # pre-activations beyond 400, where exp(-2|u|) underflows
+    with mock.patch.object(potential, "PUSH_CHUNK_ELEMENTS", 4 * L * M):
+        for B in range(14):
+            want = values_unchunked(bank, X[:B])
+            assert np.array_equal(bank.values(X[:B]), want), B
+            assert np.array_equal(bank.values(X[:B], bank.pre(X[:B])), want), B
+    assert np.array_equal(bank.values(X), values_unchunked(bank, X))
+
+
+def test_values_peak_memory_is_chunked():
+    # The rebalance's batch: unchunked, the 200,000 x 3 x 16 pre-activations
+    # take 77 MB and the antiderivative four more arrays of that size. The
+    # peak may hold the (B, L) output, the linear term X @ beta and a few
+    # chunk buffers.
+    bank = random_maxpot_map(3, 16, 5, 33).bank
+    X = stream(34, 0).standard_normal((200_000, 5))
+    out_bytes = 8 * X.shape[0] * bank.L
+    peak = peak_traced_bytes(bank.values, X)
+    assert peak <= 2 * out_bytes + 8 * 8 * potential.PUSH_CHUNK_ELEMENTS
 
 
 # ---------------------------------------------------------------------------

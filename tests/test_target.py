@@ -20,6 +20,7 @@ from otpost.target import (
     std_normal,
     two_ball_spec,
 )
+from tests.conftest import peak_traced_bytes
 
 
 def check_score(tgt, X, tol=1e-5):
@@ -146,24 +147,13 @@ def test_logistic_chunked_kernel_is_bit_identical():
 def test_logistic_kernel_peak_memory():
     # log_unnorm holds two chunk-sized buffers whatever the batch; score one
     # (B, n) array. At B = 1024 the unchunked formulas peak at 33 MB and 25 MB.
-    import tracemalloc
-
     spec, _ = logistic_data(1000, 10, rho=0.5, seed=21)
     tgt = logistic_posterior(spec)
     B = stream(6, 0).normal(0.0, 0.5, (1024, 10))
     chunk_bytes = 8 * LOGISTIC_CHUNK_ELEMENTS
     eta_bytes = 8 * B.shape[0] * spec.X.shape[0]
-    tracemalloc.start()
-    try:
-        tgt.log_unnorm(B)
-        lu_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        tgt.score(B)
-        score_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert lu_peak <= 3 * chunk_bytes
-    assert score_peak <= 1.25 * eta_bytes
+    assert peak_traced_bytes(tgt.log_unnorm, B) <= 3 * chunk_bytes
+    assert peak_traced_bytes(tgt.score, B) <= 1.25 * eta_bytes
 
 
 def test_logistic_data_reproducible_and_binary():

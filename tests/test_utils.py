@@ -10,6 +10,7 @@ from otpost.experiments import marginal_ci, point_in_polygon
 from otpost.plots import svg_overlay
 from otpost.rng import stream
 from otpost.samples import SampleMatrix
+from tests.conftest import peak_traced_bytes
 
 
 def test_stream_deterministic_and_path_separated():
@@ -40,20 +41,13 @@ def test_sample_matrix_csv_round_trip(tmp_path):
 
 def test_sample_matrix_mixed_allocates_only_its_output():
     # labels (int) and zetas are written straight into one float matrix
-    import tracemalloc
-
     rg = stream(3, 0)
     taus = rg.integers(0, 3, (2000, 300))
     zetas = rg.standard_normal((2000, 6))
-    tracemalloc.start()
-    try:
-        s = SampleMatrix.mixed(taus, zetas)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    s = SampleMatrix.mixed(taus, zetas)
     assert s.data.shape == (2000, 306)
     assert np.array_equal(s.data[:, :300], taus) and np.array_equal(s.data[:, 300:], zetas)
-    assert peak <= s.data.nbytes + 2**16
+    assert peak_traced_bytes(SampleMatrix.mixed, taus, zetas) <= s.data.nbytes + 2**16
 
 
 def test_sample_matrix_validation():
