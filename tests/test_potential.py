@@ -455,7 +455,7 @@ def test_sinkhorn_init_step_is_bit_identical():
     # the one step of init_by_sinkhorn, with the gradient from a second pass
     X = stream(cfg.seed, 7, 0).standard_normal((64, 5))
     A = smooth_batch(mp, X)[0]
-    gA = trainer._divergence_grad(A, Y, 0.05 * trainer.median_sq_dist(A, Y), sk.iters, sk.tol)
+    _, gA = trainer._divergence_grad(A, Y, 0.05 * trainer.median_sq_dist(A, Y), sk.iters, sk.tol)
     grad = two_pass_gradients(mp, X, gA).sum(axis=0)
     opt = trainer.Adam(grad.size, lr=10 * cfg.learning_rate, betas=cfg.adam_betas, eps=cfg.adam_eps)
     want = mp.flat_params() + opt.step(grad)

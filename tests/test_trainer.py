@@ -1,6 +1,7 @@
 """Optimizer, Sinkhorn divergence, training loops, stopping rule."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -123,18 +124,41 @@ def _ot_entropic_unbuffered(A, B, epsilon, iters, tol):
     return float(np.mean(f) + np.mean(g)), P, viol
 
 
-@pytest.mark.parametrize("n", [128, 256])
-def test_ot_entropic_one_buffer_is_bit_identical(n):
+@pytest.mark.parametrize(
+    "n, m, runs",
+    [
+        pytest.param(128, 128, [(5000, 1e-4, True), (3, 1e-12, False)], id="128"),
+        pytest.param(256, 256, [(5000, 1e-4, True), (3, 1e-12, False)], id="256"),
+        pytest.param(97, 160, [(5000, 1e-6, True)], id="n-ne-m"),
+        pytest.param(64, 40, [(1, 1e-4, False)], id="one-iteration"),
+        pytest.param(50, 70, [(5000, 10.0, True)], id="first-check-stops"),
+        pytest.param(60, 45, [(5000, 1e-13, True)], id="tol-1e-13"),
+        pytest.param(80, 80, [(20, 1e-9, False)], id="ends-at-iters"),
+    ],
+)
+def test_ot_entropic_one_buffer_is_bit_identical(n, m, runs):
     rg = stream(35, n)
     A = rg.standard_normal((n, 5))
-    B = 2.0 * rg.standard_normal((n, 5)) + 1.0
+    B = 2.0 * rg.standard_normal((m, 5)) + 1.0
     epsilon = 0.05 * trainer.median_sq_dist(A, B)
-    for iters, tol in ((5000, 1e-4), (3, 1e-12)):
+    for iters, tol, converges in runs:
         value, P, viol = trainer._ot_entropic(A, B, epsilon, iters, tol)
         ref_value, ref_P, ref_viol = _ot_entropic_unbuffered(A, B, epsilon, iters, tol)
         assert value == ref_value
         assert np.array_equal(P, ref_P)
         assert viol == ref_viol
+        assert (viol <= tol) == converges
+
+
+def test_converged_ot_entropic_forms_the_coupling_once():
+    rg = stream(35, 128)
+    A = rg.standard_normal((128, 5))
+    B = 2.0 * rg.standard_normal((128, 5)) + 1.0
+    epsilon = 0.05 * trainer.median_sq_dist(A, B)
+    with mock.patch.object(trainer, "_coupling", wraps=trainer._coupling) as coupling:
+        _, _, viol = trainer._ot_entropic(A, B, epsilon, 5000, 1e-4)
+    assert viol <= 1e-4
+    assert coupling.call_count == 1
 
 
 def test_sinkhorn_settings_are_validated():
@@ -174,6 +198,23 @@ def test_init_by_sinkhorn_reduces_divergence():
     mp2 = init_by_sinkhorn(mp, Y, cfg)
     after = div(mp2)
     assert after < before
+
+
+def test_init_by_sinkhorn_matches_the_unbuffered_solver():
+    # the mixture fit is chaotic under last-bit changes, so the init must keep
+    # the bits of the plain Sinkhorn loop
+    from otpost.refsampler import exact_mixture_sampler
+
+    Y = exact_mixture_sampler(two_ball_spec(), 64, seed=5).data
+    mp = random_map(2, 2, 4, seed=40)
+    cfg = TrainConfig(
+        learning_rate=5e-3, seed=3,
+        sinkhorn=SinkhornConfig(n_target_samples=64, init_steps=5),
+    )
+    got = init_by_sinkhorn(mp, Y, cfg).flat_params()
+    with mock.patch.object(trainer, "_ot_entropic", _ot_entropic_unbuffered):
+        want = init_by_sinkhorn(mp, Y, cfg).flat_params()
+    assert np.array_equal(got, want)
 
 
 def test_init_by_sinkhorn_takes_max_potential_maps_only():
