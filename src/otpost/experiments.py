@@ -190,11 +190,17 @@ def _train_mixture_map(spec, L, M, seed, activation, init_samples,
             gamma_sharp=gamma_sharp,
         )
         mp, rep2 = trainer.train(mp, tgt, cfg2)
-        rep2.objective_trace = report.objective_trace + rep2.objective_trace
-        rep2.variance_trace = report.variance_trace + rep2.variance_trace
-        rep2.final_iter = len(rep2.objective_trace)
-        report = rep2
+        report = _join_reports(report, rep2)
     return mp, report
+
+
+def _join_reports(first, second):
+    """The report of two training stages run back to back: the traces joined,
+    everything else from the second stage."""
+    second.objective_trace = first.objective_trace + second.objective_trace
+    second.variance_trace = first.variance_trace + second.variance_trace
+    second.final_iter = len(second.objective_trace)
+    return second
 
 
 def run_twoball(out_dir=None, seed=0, n_eval=10000, L=2, M=8,
@@ -324,10 +330,7 @@ def _two_stage_affine(tgt, seed, iters1=3000, iters2=2000, lr1=2e-2, lr2=1e-3,
     cfg2 = trainer.TrainConfig(batch_size=batch, max_iters=iters2,
                                learning_rate=lr2, seed=seed + 1)
     amap, rep2 = trainer.train_affine(tgt, cfg2, init=amap)
-    rep2.objective_trace = rep1.objective_trace + rep2.objective_trace
-    rep2.variance_trace = rep1.variance_trace + rep2.variance_trace
-    rep2.final_iter = len(rep2.objective_trace)
-    return amap, rep2
+    return amap, _join_reports(rep1, rep2)
 
 
 def run_logistic(rho=0.5, out_dir=None, seed=21, n=1000, p=10, n_bench=20000,

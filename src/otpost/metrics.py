@@ -65,7 +65,7 @@ def _sqdist32(A, B):
     return C
 
 
-def _ot_entropic_big(C, epsilon, final_iters, scale_start, tol=1e-3):
+def _ot_entropic_big(C, epsilon, iters, tol=1e-3):
     """Sinkhorn on a float32 cost matrix with epsilon scaling, all in float32.
 
     The duals, the scalings, the kernel and every temporary are float32;
@@ -73,47 +73,29 @@ def _ot_entropic_big(C, epsilon, final_iters, scale_start, tol=1e-3):
     holds one n x m float32 buffer, so a solve needs about two n x m
     float32 arrays (8 n m bytes).
 
-    The warm levels run a few stabilized log-domain iterations each, in
-    place in the buffer; the final level switches to plain scaling
-    iterations against the absorbed kernel exp((f + g - C)/eps), kept in
-    the same buffer - two matrix-vector products per iteration instead of
-    two full logsumexp passes. The scalings are absorbed into the duals
-    whenever they threaten float range. Every 20 iterations the l1
-    marginal violation (fraction of total coupling mass) is read from the
-    product the next iteration needs anyway; the solve stops once it drops
-    below tol.
+    The ladder runs from C.max()/8 down to epsilon in steps of 4, and every
+    level runs the same scaling iteration against the absorbed kernel
+    exp((f + g - C)/eps), kept in the buffer: 8 iterations on a warm level,
+    at most ``iters`` on the last. The scalings are absorbed into the duals
+    whenever they leave [1e-15, 1e15] and at the end of each level. The
+    first level's exponents are at most 8, and after an absorption every
+    row of the kernel holds an entry of about 1 or more, so the next level's
+    4x larger exponents cannot underflow a whole row. Every 20 iterations,
+    and at the end of a level, the l1 marginal violation (fraction of total
+    coupling mass) is read from the product the next iteration needs
+    anyway; the solve stops once it drops below tol on the last level.
     """
     n, m = C.shape
     f32 = np.float32
-    # numpy float64 scalars would promote every array they touch (NEP 50)
-    loga, logb = f32(-np.log(n)), f32(-np.log(m))
     f = np.zeros(n, dtype=f32)
     g = np.zeros(m, dtype=f32)
     M = np.empty_like(C)
     ladder = []
-    e = max(scale_start, epsilon)
+    e = max(float(C.max()) / 8.0, epsilon)
     while e > epsilon * 1.001:
         ladder.append(e)
         e /= 4.0
     ladder.append(epsilon)
-
-    for e in ladder[:-1]:
-        e = f32(e)
-        for _ in range(8):
-            np.subtract(g, C, out=M)
-            M /= e
-            mx = M.max(axis=1)
-            M -= mx[:, None]
-            np.exp(M, out=M)
-            f = -e * (mx + np.log(M.sum(axis=1)) + logb)
-            np.subtract(f[:, None], C, out=M)
-            M /= e
-            mx = M.max(axis=0)
-            M -= mx
-            np.exp(M, out=M)
-            g = -e * (mx + np.log(M.sum(axis=0)) + loga)
-
-    e = f32(epsilon)
     tiny = f32(1e-35)
 
     def _kernel():
@@ -127,26 +109,29 @@ def _ot_entropic_big(C, epsilon, final_iters, scale_start, tol=1e-3):
         f = f + e * np.log(phi)
         g = g + e * np.log(psi)
 
-    _kernel()
-    phi = np.ones(n, dtype=f32)
-    psi = np.ones(m, dtype=f32)
-    Kpsi = M @ psi
     viol = np.inf
-    for it in range(final_iters):
-        phi = m / np.maximum(Kpsi, tiny)
-        psi = n / np.maximum(M.T @ phi, tiny)
-        if max(phi.max(), psi.max()) > 1e15 or min(phi.min(), psi.min()) < 1e-15:
-            _absorb(phi, psi)
-            _kernel()
-            phi = np.ones(n, dtype=f32)
-            psi = np.ones(m, dtype=f32)
+    for k, e in enumerate(ladder):
+        e = f32(e)
+        level_iters = iters if k == len(ladder) - 1 else 8
+        _kernel()
+        phi = np.ones(n, dtype=f32)
+        psi = np.ones(m, dtype=f32)
         Kpsi = M @ psi
-        if (it + 1) % 20 == 0 or it == final_iters - 1:
-            rows = phi * Kpsi / f32(n * m)
-            viol = float(np.abs(rows - 1.0 / n).sum())
-            if viol < tol:
-                break
-    _absorb(phi, psi)
+        for it in range(level_iters):
+            phi = m / np.maximum(Kpsi, tiny)
+            psi = n / np.maximum(M.T @ phi, tiny)
+            if max(phi.max(), psi.max()) > 1e15 or min(phi.min(), psi.min()) < 1e-15:
+                _absorb(phi, psi)
+                _kernel()
+                phi = np.ones(n, dtype=f32)
+                psi = np.ones(m, dtype=f32)
+            Kpsi = M @ psi
+            if (it + 1) % 20 == 0 or it == level_iters - 1:
+                rows = phi * Kpsi / f32(n * m)
+                viol = float(np.abs(rows - 1.0 / n).sum())
+                if viol < tol:
+                    break
+        _absorb(phi, psi)
     value = f.mean(dtype=np.float64) + g.mean(dtype=np.float64)
     return float(value), float(viol)
 
@@ -174,10 +159,7 @@ def w2_entropic(A, B, epsilon: float, iters: int = 5000, tol: float = 1e-6) -> f
 
         def solve(X, Y):
             C = _sqdist32(X, Y)
-            return _ot_entropic_big(
-                C, epsilon, final_iters=min(iters, 3000),
-                scale_start=float(C.max()) / 8.0, tol=tol,
-            )
+            return _ot_entropic_big(C, epsilon, min(iters, 3000), tol)
     else:
 
         def solve(X, Y):

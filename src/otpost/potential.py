@@ -472,7 +472,12 @@ def chol_inverse(chol: np.ndarray) -> np.ndarray:
 
 def _smooth_pass(map: MaxPotentialMap, X: np.ndarray, second_order: bool = True):
     """The smooth pass of a batch X (B, p): pre-activations s, softmax weights
-    omega, local gradients and value, then local Hessians and J if second_order."""
+    omega, local gradients and value, then local Hessians and J if second_order.
+
+    J = sum_l omega_l H_l, the omega-weighted local Hessians: a smoothing of
+    the hard map's almost-everywhere Jacobian. For L > 1 it is not the
+    Jacobian of the smoothed value, which has one more term,
+    gamma sum_l omega_l (grad u_l - T)(grad u_l - T)^T."""
     bank = map.bank
     s = bank.pre(X)
     omega = softmax(map.gamma_sharp * bank.values(X, s), axis=1)
@@ -500,9 +505,10 @@ def _param_grads(map: MaxPotentialMap, G, X, s, omega, grads, hess=None, chol=No
 
 
 def smooth_batch(map: MaxPotentialMap, X: np.ndarray, jitter: float | None = None):
-    """Smooth transport of a batch X (B, p): value, Jacobian J, log det(J +
-    jitter * I) and the mask of rows a Cholesky factorization accepts (the
-    others get -inf)."""
+    """Smooth transport of a batch X (B, p): value, J, log det(J + jitter * I)
+    and the mask of rows a Cholesky factorization accepts (the others get
+    -inf). J is the omega-weighted local Hessians of ``_smooth_pass``; it is
+    the value's Jacobian only when L = 1."""
     *_, value, _, J = _smooth_pass(map, X)
     logdet, ok, _ = logdet_spd(J, jitter)
     return value, J, logdet, ok
@@ -511,7 +517,9 @@ def smooth_batch(map: MaxPotentialMap, X: np.ndarray, jitter: float | None = Non
 def transport_smooth(
     map: MaxPotentialMap, x, jitter: float | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Softmax-weighted transport value, Jacobian and its log-determinant."""
+    """Softmax-weighted transport value, J and its log-determinant, for one
+    point. J is the omega-weighted local Hessians (see ``smooth_batch``), the
+    value's Jacobian only when L = 1."""
     X, single = _as_batch(x)
     if not single:
         raise ValueError("transport_smooth takes a single point; see smooth_batch")

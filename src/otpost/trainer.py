@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -110,21 +110,7 @@ class TrainConfig:
             raise ValueError("jitter must be None or >= 0")
 
     def to_json(self) -> str:
-        doc = {
-            "batch_size": self.batch_size,
-            "max_iters": self.max_iters,
-            "learning_rate": self.learning_rate,
-            "adam_betas": list(self.adam_betas),
-            "adam_eps": self.adam_eps,
-            "seed": self.seed,
-            "gamma_sharp": self.gamma_sharp,
-            "sinkhorn": None
-            if self.sinkhorn is None
-            else vars(self.sinkhorn),
-            "stop": vars(self.stop),
-            "jitter": self.jitter,
-        }
-        return json.dumps(doc, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
@@ -158,18 +144,7 @@ class TrainReport:
     stop_reason: str = "max_iters"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "objective_trace": self.objective_trace,
-                "variance_trace": self.variance_trace,
-                "skipped_singular": self.skipped_singular,
-                "final_iter": self.final_iter,
-                "wall_time_seconds": self.wall_time_seconds,
-                "aborted": self.aborted,
-                "stop_reason": self.stop_reason,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 class Adam(object):

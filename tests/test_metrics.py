@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from otpost.metrics import (
     W2_EXACT_CAP,
@@ -150,7 +152,29 @@ def test_w2_entropic_large_clouds_stay_float32():
     assert peak_traced_bytes(w2_entropic, A, B, 1.0) <= 2.5 * 4 * n * n
     C = _sqdist32(A, B)
     assert C.dtype == np.float32
-    big, viol = _ot_entropic_big(C, 1.0, final_iters=3000, scale_start=float(C.max()) / 8.0)
+    big, viol = _ot_entropic_big(C, 1.0, iters=3000)
     assert viol <= 1e-3
     ref = _ot_entropic(A, B, 1.0, iters=200, tol=1e-7)[0]
     assert abs(big - ref) <= 1e-3 * abs(ref)
+
+
+@given(
+    n=hst.integers(20, 299), m=hst.integers(20, 299), d=hst.integers(1, 5),
+    seed=hst.integers(0, 2**16), frac=hst.floats(0.005, 1.0),
+)
+def test_big_solver_matches_float64_where_a_cold_start_underflows(n, m, d, seed, frac):
+    # at eps = 0.005 x the median cost, C/eps reaches thousands, far past the
+    # -103 where float32 exp underflows; the epsilon ladder must carry the
+    # scaling iteration there
+    from otpost.metrics import _ot_entropic_big, _sqdist32
+    from otpost.trainer import _ot_entropic
+
+    rg = stream(seed, 67)
+    A = rg.standard_normal((n, d))
+    B = rg.standard_normal((m, d)) + 1.0
+    C = _sqdist32(A, B)
+    eps = frac * float(np.median(C))
+    big, viol = _ot_entropic_big(C, eps, 3000)
+    assert viol <= 1e-3
+    ref = _ot_entropic(A, B, eps, iters=5000, tol=1e-9)[0]
+    assert abs(big - ref) <= 2e-3 * abs(ref)

@@ -324,6 +324,24 @@ def test_single_local_smooth_jacobian_matches_finite_difference():
         assert np.max(np.abs(fd - J)) <= 1e-4
 
 
+def test_smooth_j_misses_the_softmax_term_of_the_jacobian():
+    # for L > 1, J = sum_l omega_l H_l lacks the term the softmax weights
+    # add: gamma sum_l omega_l (grad u_l - T)(grad u_l - T)^T
+    mp = random_maxpot_map(2, 4, 2, 3, gamma_sharp=1.0)
+    X = stream(3, 5).normal(0.0, 2.0, (200, 2))
+    _, omega, grads, value, _, J = potential._smooth_pass(mp, X)
+    D = grads - value[:, None, :]
+    full = J + mp.gamma_sharp * np.einsum("bl,blp,blq->bpq", omega, D, D)
+    h = 1e-5
+    fd = np.empty_like(J)
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = h
+        fd[:, :, j] = (smooth_batch(mp, X + e)[0] - smooth_batch(mp, X - e)[0]) / (2 * h)
+    assert np.max(np.abs(fd - J)) >= 0.1
+    assert np.max(np.abs(fd - full)) <= 1e-8
+
+
 @pytest.mark.parametrize(
     "p, L, M, seed, n_far",
     [

@@ -298,6 +298,47 @@ def test_train_report_and_config_json_round_trip():
     assert len(doc["objective_trace"]) == 3
     assert len(doc["variance_trace"]) == 3
     assert doc["stop_reason"] == "max_iters"
+    # the written text itself is pinned, so report.json files stay comparable
+    stop_text = '"stop": {\n    "window": 20,\n    "variance_tol": 0.0,\n    "patience": 5\n  },\n'
+    assert TrainConfig().to_json() == (
+        '{\n  "batch_size": 128,\n  "max_iters": 2000,\n  "learning_rate": 0.001,\n'
+        '  "adam_betas": [\n    0.9,\n    0.999\n  ],\n  "adam_eps": 1e-08,\n'
+        '  "seed": 0,\n  "gamma_sharp": 10.0,\n  "sinkhorn": null,\n'
+        '  ' + stop_text + '  "jitter": null\n}'
+    )
+    cfg3 = TrainConfig(adam_betas=(0.8, 0.95), jitter=1e-6,
+                       sinkhorn=SinkhornConfig(n_target_samples=64, epsilon=0.3, init_steps=5))
+    assert cfg3.to_json() == (
+        '{\n  "batch_size": 128,\n  "max_iters": 2000,\n  "learning_rate": 0.001,\n'
+        '  "adam_betas": [\n    0.8,\n    0.95\n  ],\n  "adam_eps": 1e-08,\n'
+        '  "seed": 0,\n  "gamma_sharp": 10.0,\n'
+        '  "sinkhorn": {\n    "n_target_samples": 64,\n    "epsilon": 0.3,\n'
+        '    "iters": 5000,\n    "tol": 0.0001,\n    "init_steps": 5\n  },\n'
+        '  ' + stop_text + '  "jitter": 1e-06\n}'
+    )
+    aborted = trainer.TrainReport(
+        objective_trace=[1.5, math.nan], variance_trace=[0.25, math.nan], skipped_singular=3,
+        final_iter=2, wall_time_seconds=0.125, aborted=True, stop_reason="aborted",
+    )
+    assert aborted.to_json() == (
+        '{\n  "objective_trace": [\n    1.5,\n    NaN\n  ],\n'
+        '  "variance_trace": [\n    0.25,\n    NaN\n  ],\n  "skipped_singular": 3,\n'
+        '  "final_iter": 2,\n  "wall_time_seconds": 0.125,\n  "aborted": true,\n'
+        '  "stop_reason": "aborted"\n}'
+    )
+
+
+def test_two_stage_report_joins_traces_and_keeps_the_second_stage():
+    from otpost.experiments import _join_reports
+
+    first = trainer.TrainReport([1.0, 2.0], [0.5, 0.4], skipped_singular=4, final_iter=2,
+                                wall_time_seconds=1.0)
+    second = trainer.TrainReport([3.0], [0.3], skipped_singular=1, final_iter=1,
+                                 wall_time_seconds=2.0, stop_reason="variance")
+    assert _join_reports(first, second) == trainer.TrainReport(
+        [1.0, 2.0, 3.0], [0.5, 0.4, 0.3], skipped_singular=1, final_iter=3,
+        wall_time_seconds=2.0, stop_reason="variance",
+    )
 
 
 def test_train_raises_a_bug_in_the_target():
