@@ -181,7 +181,7 @@ def cmd_train(args):
             mp = experiments.random_maxpot_map(
                 int(mcfg.get("L", 1)), int(mcfg.get("M", 8)), tgt.dim, seed,
                 activation=_activation(mcfg.get("activation")),
-                gamma_sharp=float(mcfg.get("gamma_sharp", tconf.gamma_sharp)),
+                gamma_sharp=tconf.gamma_sharp,
             )
             if tconf.sinkhorn is not None and spec is not None and hasattr(spec, "weights"):
                 sub = refsampler.exact_mixture_sampler(
@@ -380,6 +380,8 @@ def cmd_reference(args):
     from . import mixed, refsampler, target
     from .samples import SampleMatrix
 
+    if args.n_data is None:  # the training targets' defaults
+        args.n_data = 300 if args.kind == "gmm" else 1000
     if args.kind == "mixture":
         spec = target.mixture_spec(args.d, args.K, args.data_seed)
         draws = refsampler.exact_mixture_sampler(spec, args.n, seed=args.seed)
@@ -499,7 +501,8 @@ def build_parser():
     p.add_argument("--p", type=int, default=10)
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--delta", type=float, default=6.0)
-    p.add_argument("--n-data", type=int, default=1000)
+    p.add_argument("--n-data", type=int, default=None,
+                   help="observations (default: 1000 for logistic, 300 for gmm)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reference)
 

@@ -92,10 +92,10 @@ def random_maxpot_map(L, M, p, seed, activation=Activation.TANH, centers=None,
     return MaxPotentialMap(bank, gamma_sharp=gamma_sharp)
 
 
-def _kmeans_centers(X, L, seed, iters=50):
+def _kmeans_centers(X, L, seed):
     rg = stream(seed, 12)
     centers = X[rg.choice(X.shape[0], size=L, replace=False)]
-    for _ in range(iters):
+    for _ in range(50):
         d2 = ((X[:, None, :] - centers[None]) ** 2).sum(axis=2)
         lab = d2.argmin(axis=1)
         for k in range(L):
@@ -105,7 +105,7 @@ def _kmeans_centers(X, L, seed, iters=50):
     return centers
 
 
-def rebalance_locals(mp, spec, n=200000, seed=0, iters=400) -> MaxPotentialMap:
+def rebalance_locals(mp, spec, seed=0) -> MaxPotentialMap:
     """Match each local cell's reference mass to its component weights.
 
     Stochastic KL training is nearly blind to small mass misallocations
@@ -139,11 +139,12 @@ def rebalance_locals(mp, spec, n=200000, seed=0, iters=400) -> MaxPotentialMap:
         w[serving] += spec.weights[j]
     w /= w.sum()
 
+    n = 200000
     X = rg.standard_normal((n, mp.dim))
     U = st.values(X)
     c = np.zeros(L)
     step = max(float(U.std()), 1.0)
-    for it in range(iters):
+    for it in range(400):
         frac = np.bincount(np.argmax(U + c, axis=1), minlength=L) / n
         g = w - frac
         if np.abs(g).max() < 5e-4:
@@ -156,8 +157,7 @@ def rebalance_locals(mp, spec, n=200000, seed=0, iters=400) -> MaxPotentialMap:
 
 
 def _train_mixture_map(spec, L, M, seed, activation, init_samples,
-                       train_iters, batch_size, lr, init_steps, gamma_sharp=10.0,
-                       stage2=None):
+                       train_iters, batch_size, lr, init_steps, stage2=None):
     """Shared pipeline for multimodal mixture targets.
 
     ``stage2`` is an optional (batch_size, iters, lr) polishing stage at a
@@ -166,28 +166,24 @@ def _train_mixture_map(spec, L, M, seed, activation, init_samples,
     """
     tgt = gaussian_mixture(spec)
     centers = _kmeans_centers(init_samples, L, seed)
-    mp = random_maxpot_map(L, M, spec.dim, seed, activation=activation,
-                           centers=centers, gamma_sharp=gamma_sharp)
+    mp = random_maxpot_map(L, M, spec.dim, seed, activation=activation, centers=centers)
     cfg = trainer.TrainConfig(
         batch_size=batch_size, max_iters=train_iters, learning_rate=lr, seed=seed,
-        gamma_sharp=gamma_sharp,
         sinkhorn=trainer.SinkhornConfig(
             n_target_samples=min(256, init_samples.shape[0]), init_steps=init_steps
         ),
     )
-    if init_steps:
-        sub = init_samples[
-            stream(seed, 13).choice(
-                init_samples.shape[0], size=cfg.sinkhorn.n_target_samples, replace=False
-            )
-        ]
-        mp = trainer.init_by_sinkhorn(mp, sub, cfg)
+    sub = init_samples[
+        stream(seed, 13).choice(
+            init_samples.shape[0], size=cfg.sinkhorn.n_target_samples, replace=False
+        )
+    ]
+    mp = trainer.init_by_sinkhorn(mp, sub, cfg)
     mp, report = trainer.train(mp, tgt, cfg)
     if stage2 is not None:
         bs2, iters2, lr2 = stage2
         cfg2 = trainer.TrainConfig(
-            batch_size=bs2, max_iters=iters2, learning_rate=lr2, seed=seed + 1,
-            gamma_sharp=gamma_sharp,
+            batch_size=bs2, max_iters=iters2, learning_rate=lr2, seed=seed + 1
         )
         mp, rep2 = trainer.train(mp, tgt, cfg2)
         report = _join_reports(report, rep2)
@@ -203,20 +199,17 @@ def _join_reports(first, second):
     return second
 
 
-def run_twoball(out_dir=None, seed=0, n_eval=10000, L=2, M=8,
-                train_iters=4000, batch_size=512, lr=5e-3, init_steps=60,
-                eps_w2=None) -> dict:
+def run_twoball(out_dir=None, seed=0) -> dict:
     """Mixture of two separated Gaussian balls in 2-D."""
+    n_eval, eps_w2 = 10000, 60.0  # the W2 regularization is calibrated at n_eval
     spec = two_ball_spec()
     bench = refsampler.exact_mixture_sampler(spec, n_eval, seed=seed + 101).data
     mp, report = _train_mixture_map(
-        spec, L, M, seed, Activation.TANH, bench, train_iters, batch_size, lr,
-        init_steps, stage2=(1024, 4000, 5e-4),
+        spec, 2, 8, seed, Activation.TANH, bench, train_iters=4000, batch_size=512,
+        lr=5e-3, init_steps=60, stage2=(1024, 4000, 5e-4),
     )
     mp = rebalance_locals(mp, spec, seed=seed)
     draws = inference.sample(mp, n_eval, seed=seed + 7).data
-    if eps_w2 is None:
-        eps_w2 = 60.0
     w2 = metrics.w2_entropic(draws, bench, eps_w2)
     results = {
         "experiment": "twoball", "seed": seed, "n_eval": n_eval,
@@ -240,13 +233,14 @@ def run_twoball(out_dir=None, seed=0, n_eval=10000, L=2, M=8,
     return results
 
 
-def run_banana(out_dir=None, seed=0, n_eval=10000, L=3, M=8,
-               train_iters=2000, batch_size=256, lr=5e-3, init_steps=60) -> dict:
+def run_banana(out_dir=None, seed=0) -> dict:
     """Banana-shaped 3-component mixture; quadrant masses and coverage."""
+    n_eval = 10000
     spec = banana_spec()
     bench = refsampler.exact_mixture_sampler(spec, n_eval, seed=seed + 102).data
     mp, report = _train_mixture_map(
-        spec, L, M, seed, Activation.TANH, bench, train_iters, batch_size, lr, init_steps
+        spec, 3, 8, seed, Activation.TANH, bench, train_iters=2000, batch_size=256,
+        lr=5e-3, init_steps=60,
     )
     draws = inference.sample(mp, n_eval, seed=seed + 7).data
     n_arc = 512
@@ -291,19 +285,16 @@ def run_banana(out_dir=None, seed=0, n_eval=10000, L=3, M=8,
     return results
 
 
-def run_mixture(d=5, K=3, out_dir=None, seed=11, n_eval=10000, L=None, M=None,
-                train_iters=3000, batch_size=256, lr=5e-3, init_steps=80,
-                eps_w2=28.0) -> dict:
-    """Random Gaussian mixture in d dimensions with K components."""
+def run_mixture(d=5, K=3, out_dir=None, seed=11) -> dict:
+    """Random Gaussian mixture in d dimensions with K components; one local
+    per component, 16 units per local up to d = 5 and 32 above."""
+    n_eval, eps_w2 = 10000, 28.0  # the W2 regularization is calibrated at n_eval
     spec = mixture_spec(d, K, seed)
-    if L is None:
-        L = K
-    if M is None:
-        M = 16 if d <= 5 else 32
     bench1 = refsampler.exact_mixture_sampler(spec, n_eval, seed=seed + 103).data
     bench2 = refsampler.exact_mixture_sampler(spec, n_eval, seed=seed + 104).data
     mp, report = _train_mixture_map(
-        spec, L, M, seed, Activation.TANH, bench1, train_iters, batch_size, lr, init_steps
+        spec, K, 16 if d <= 5 else 32, seed, Activation.TANH, bench1, train_iters=3000,
+        batch_size=256, lr=5e-3, init_steps=80,
     )
     mp = rebalance_locals(mp, spec, seed=seed)
     draws = inference.sample(mp, n_eval, seed=seed + 7).data
@@ -322,31 +313,31 @@ def run_mixture(d=5, K=3, out_dir=None, seed=11, n_eval=10000, L=None, M=None,
     return results
 
 
-def _two_stage_affine(tgt, seed, iters1=3000, iters2=2000, lr1=2e-2, lr2=1e-3,
-                      batch=256):
-    cfg1 = trainer.TrainConfig(batch_size=batch, max_iters=iters1,
-                               learning_rate=lr1, seed=seed)
+def _two_stage_affine(tgt, seed, lr2=1e-3, batch=256):
+    cfg1 = trainer.TrainConfig(batch_size=batch, max_iters=3000,
+                               learning_rate=2e-2, seed=seed)
     amap, rep1 = trainer.train_affine(tgt, cfg1)
-    cfg2 = trainer.TrainConfig(batch_size=batch, max_iters=iters2,
+    cfg2 = trainer.TrainConfig(batch_size=batch, max_iters=2000,
                                learning_rate=lr2, seed=seed + 1)
     amap, rep2 = trainer.train_affine(tgt, cfg2, init=amap)
     return amap, _join_reports(rep1, rep2)
 
 
-def run_logistic(rho=0.5, out_dir=None, seed=21, n=1000, p=10, n_bench=20000,
-                 n_w2=500, beta_true=None, maxpot_M=32, maxpot_iters=2500) -> dict:
+def run_logistic(rho=0.5, out_dir=None, seed=21) -> dict:
     """Bayesian logistic regression: affine and L=1 max-potential maps
-    against an adaptive Metropolis benchmark."""
-    spec, beta_true = logistic_data(n, p, rho, seed, beta_true=beta_true)
+    against an adaptive Metropolis benchmark (24,000 iterations, the last
+    19,200 kept)."""
+    n, p, n_w2 = 1000, 10, 500
+    spec, beta_true = logistic_data(n, p, rho, seed)
     tgt = logistic_posterior(spec)
-    bench = refsampler.amh_logistic(spec, iters=n_bench + n_bench // 5, seed=seed + 2).data
+    bench = refsampler.amh_logistic(spec, iters=24000, seed=seed + 2).data
     amap, rep = _two_stage_affine(tgt, seed)
     a_draws = inference.sample(amap, 4000, seed=seed + 3).data
 
-    mp = random_maxpot_map(1, maxpot_M, p, seed, activation=Activation.SOFTSIGN,
+    mp = random_maxpot_map(1, 32, p, seed, activation=Activation.SOFTSIGN,
                            centers=bench.mean(axis=0)[None, :], alpha_scale=0.5)
     cfg = trainer.TrainConfig(
-        batch_size=256, max_iters=maxpot_iters, learning_rate=2e-3, seed=seed + 4,
+        batch_size=256, max_iters=2500, learning_rate=2e-3, seed=seed + 4,
         sinkhorn=trainer.SinkhornConfig(n_target_samples=256, init_steps=40),
     )
     sub = bench[stream(seed, 14).choice(bench.shape[0], size=256, replace=False)]
@@ -389,14 +380,14 @@ def run_logistic(rho=0.5, out_dir=None, seed=21, n=1000, p=10, n_bench=20000,
     return results
 
 
-def run_sparse_logistic(out_dir=None, seed=31, n=1000, p=10, rho=0.5,
-                        ci_level=0.95, n_ci=20000) -> dict:
-    """Sparse-coefficient logistic workflow: simultaneous credible box and
-    a Bayesian p-value at the origin."""
-    spec, beta_true = logistic_data(n, p, rho, seed, beta_true=SPARSE_BETA)
+def run_sparse_logistic(out_dir=None, seed=31) -> dict:
+    """Sparse-coefficient logistic workflow: simultaneous 95% credible box
+    and a Bayesian p-value at the origin."""
+    p = SPARSE_BETA.size
+    spec, beta_true = logistic_data(1000, p, 0.5, seed, beta_true=SPARSE_BETA)
     tgt = logistic_posterior(spec)
     amap, rep = _two_stage_affine(tgt, seed)
-    intervals = inference.simultaneous_ci(amap, ci_level, n_ci, seed=seed + 6)
+    intervals = inference.simultaneous_ci(amap, 0.95, 20000, seed=seed + 6)
     zero_in = [bool(lo <= 0.0 <= hi) for lo, hi in intervals]
     pval = inference.bayes_pvalue(amap, np.zeros(p))
     preimage = inference.inverse(amap, np.zeros(p))
@@ -419,7 +410,7 @@ def run_sparse_logistic(out_dir=None, seed=31, n=1000, p=10, rho=0.5,
 # mean-field GMM
 
 
-def _match_orthant_offsets(pi, iters=60):
+def _match_orthant_offsets(pi):
     """Offsets v (n, K) such that P(argmax_k x_k + v_ik = k) matches pi[i]
     for x ~ N(0, I_K), for every row of the marginals pi (n, K); damped
     fixed point on log probabilities via Gauss-Hermite, all rows at once."""
@@ -433,7 +424,7 @@ def _match_orthant_offsets(pi, iters=60):
     others = np.array([np.delete(np.arange(K), k) for k in range(K)], dtype=int)
     log_pi = np.log(np.maximum(pi, 1e-12))
     v = log_pi - log_pi.max(axis=1, keepdims=True)
-    for _ in range(iters):
+    for _ in range(60):
         # t[i, k, q, j] = node q + v_ik - v_i,others[k, j]
         t = (nodes[:, None] + v[:, :, None, None]) - v[:, others][:, :, None, :]
         probs = np.prod(ndtr(t), axis=3) @ weights
@@ -444,8 +435,8 @@ def _match_orthant_offsets(pi, iters=60):
     return v, probs
 
 
-def informed_gmm_map(data, prior: GmmPrior, K, label_marginals, mean_sd,
-                     curvature_units=2) -> mixed.MeanFieldGmmMap:
+def informed_gmm_map(data, prior: GmmPrior, K, label_marginals,
+                     mean_sd) -> mixed.MeanFieldGmmMap:
     """Analytic initialization of the mean-field GMM map.
 
     Label offsets reproduce the given per-observation label marginals under
@@ -463,10 +454,10 @@ def informed_gmm_map(data, prior: GmmPrior, K, label_marginals, mean_sd,
     # is dominated by the x1 block exactly as the offset calibration assumes
     kappa = 1.0
     sd = np.asarray(mean_sd, dtype=float).reshape(p)
-    # curvature units shared by every potential, curvature_units per
-    # coordinate: J ~= kappa * n * H = diag(sd)
-    a = np.sqrt(sd / (n * curvature_units))
-    curv = np.repeat(np.diag(a), curvature_units, axis=0)  # (p * curvature_units, p)
+    # curvature units shared by every potential, two per coordinate:
+    # J ~= kappa * n * H = diag(sd)
+    a = np.sqrt(sd / (n * 2))
+    curv = np.repeat(np.diag(a), 2, axis=0)  # (2p, p)
     m0 = np.broadcast_to(np.asarray(prior.m0, dtype=float), (d,))
     # one linear unit per potential: observation i's data point routed to
     # block k, plus the prior pull spread uniformly over observations
@@ -486,14 +477,15 @@ def informed_gmm_map(data, prior: GmmPrior, K, label_marginals, mean_sd,
     return mixed.MeanFieldGmmMap(n_obs=n, K=K, d=d, bank=bank, kappa=kappa)
 
 
-def run_gmm(delta=6.0, out_dir=None, seed=41, n_obs=300, K=3, n_draws=1000,
-            gibbs_iters=3000, train_iters=0, lr=1e-3, batch_size=32) -> dict:
-    """Gaussian mixture model posterior over labels and cluster means."""
+def run_gmm(delta=6.0, out_dir=None, seed=41) -> dict:
+    """Gaussian mixture model posterior over labels and cluster means: the
+    informed map, untrained, scored on 1000 draws against the Gibbs sampler
+    it is built from."""
+    n_obs, K, n_draws = 300, 3, 1000
     data, true_labels, true_means = gmm_data(delta, seed, n=n_obs)
     prior = GmmPrior(m0=np.zeros(2), prior_sd=10.0, obs_sd=1.0)
     labels_g, means_g = refsampler.gibbs_gmm(
-        data, prior, K, iters=gibbs_iters, seed=seed + 8,
-        init_means=true_means,
+        data, prior, K, iters=3000, seed=seed + 8, init_means=true_means,
     )
     d = data.shape[1]
     # posterior summaries from Gibbs for the informed initialization
@@ -502,12 +494,6 @@ def run_gmm(delta=6.0, out_dir=None, seed=41, n_obs=300, K=3, n_draws=1000,
     )  # (n, K)
     mean_sd = means_g.std(axis=0)
     mp = informed_gmm_map(data, prior, K, marg, mean_sd)
-    report = None
-    if train_iters:
-        tgt = mixed.gmm_mixed_target(data, prior, K)
-        cfg = trainer.TrainConfig(batch_size=batch_size, max_iters=train_iters,
-                                  learning_rate=lr, seed=seed + 9)
-        mp, report = trainer.train_mixed(mp, tgt, cfg)
     draws = inference.sample(mp, n_draws, seed=seed + 10)
     tau_cols = draws.tau_columns()
     map_labels = draws.data[:, tau_cols].astype(int)
@@ -527,11 +513,7 @@ def run_gmm(delta=6.0, out_dir=None, seed=41, n_obs=300, K=3, n_draws=1000,
         "experiment": f"gmm({delta})", "seed": seed, "n_obs": n_obs,
         "latent_tv": float(np.mean(tvs)),
         "per_mean_w2": [float(w) for w in per_mean_w2],
-        "trained_iters": train_iters,
     }
-    if out_dir is not None:
-        _write(out_dir, "results.json", json.dumps(results, indent=2))
-        if report is not None:
-            _write(out_dir, "report.json", report.to_json())
+    _write(out_dir, "results.json", json.dumps(results, indent=2))
     results["_map"] = mp
     return results

@@ -18,21 +18,19 @@ from .target import GaussianMixtureSpec, LogisticPosteriorSpec, logistic_posteri
 __all__ = ["gibbs_gmm", "amh_logistic", "exact_mixture_sampler"]
 
 
-def gibbs_gmm(data, prior: GmmPrior, K: int, iters: int, burnin: int | None = None,
-              seed: int = 0, init_means=None):
+def gibbs_gmm(data, prior: GmmPrior, K: int, iters: int, seed: int = 0, init_means=None):
     """Gibbs sampler alternating label and conjugate mean updates.
 
     Model: labels uniform on K clusters, cluster means with independent
     N(m0, prior_sd^2 I) priors, observations N(m_label, obs_sd^2 I).
-    Returns (label draws (T, n), mean draws (T, K*d)) after burnin
-    (default 20% of iters).
+    Returns (label draws (T, n), mean draws (T, K*d)) after a burn-in of
+    20% of iters.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     data = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = data.shape
-    if burnin is None:
-        burnin = iters // 5
+    burnin = iters // 5
     rg = stream(seed, 6)
     lam2, sig2 = prior.prior_sd**2, prior.obs_sd**2
     m0 = np.broadcast_to(np.asarray(prior.m0, dtype=float), (d,))
@@ -66,17 +64,16 @@ def gibbs_gmm(data, prior: GmmPrior, K: int, iters: int, burnin: int | None = No
     return label_draws, mean_draws
 
 
-def amh_logistic(spec: LogisticPosteriorSpec, iters: int, burnin: int | None = None,
-                 seed: int = 0) -> SampleMatrix:
+def amh_logistic(spec: LogisticPosteriorSpec, iters: int, seed: int = 0) -> SampleMatrix:
     """Adaptive random-walk Metropolis for the logistic posterior.
 
     Gaussian proposals with covariance adapted from the past draws during
-    burnin (the classic 2.38^2/p scaling plus a small ridge), frozen
-    afterwards so the retained chain is a genuine Metropolis sampler.
+    a burn-in of 20% of iters (the classic 2.38^2/p scaling plus a small
+    ridge), frozen afterwards so the retained chain is a genuine Metropolis
+    sampler.
     """
     p = spec.dim
-    if burnin is None:
-        burnin = iters // 5
+    burnin = iters // 5
     tgt = logistic_posterior(spec)
     rg = stream(seed, 8)
     beta = np.zeros(p)

@@ -342,13 +342,15 @@ def _affine_value_vjp(map: AffineMap, X, G):
 
 def init_by_sinkhorn(map, target_samples, config: TrainConfig):
     """Pretrain a MaxPotentialMap's parameters by minimizing the Sinkhorn
-    divergence; any other map raises TypeError.
+    divergence; any other map raises TypeError. Like ``train``, it smooths at
+    ``config.gamma_sharp`` and returns a map of that sharpness.
 
     ``target_samples`` are (approximate) draws from the target; accuracy
     requirements are mild since this only initializes the KL training.
     """
     if not isinstance(map, MaxPotentialMap):
         raise TypeError(f"init_by_sinkhorn takes a MaxPotentialMap, not {type(map).__name__}")
+    map = map.with_gamma(config.gamma_sharp)
     sk = config.sinkhorn or SinkhornConfig()
     if sk.init_steps <= 0:
         return map
@@ -432,11 +434,13 @@ def train(map: MaxPotentialMap, target: TargetDensity, config: TrainConfig):
     return cur.with_flat_params(theta), report
 
 
-def train_affine(target: TargetDensity, config: TrainConfig, n_scale: int = 1, init: AffineMap | None = None):
-    """Fit the affine transport class; diagonal positivity via log-reparameterization."""
+def train_affine(target: TargetDensity, config: TrainConfig, init: AffineMap | None = None):
+    """Fit the affine transport class from ``init`` (default: the identity),
+    at ``init``'s n_scale; diagonal positivity via log-reparameterization."""
     p = target.dim
     if init is None:
-        init = AffineMap(m=np.zeros(p), chol_factor=np.eye(p), n_scale=n_scale)
+        init = AffineMap(m=np.zeros(p), chol_factor=np.eye(p))
+    n_scale = init.n_scale
     n_off = p * (p - 1) // 2
 
     def grad_fn(theta, X):

@@ -27,10 +27,6 @@ from tests.test_potential import random_map, unit_loop_value
 
 pytestmark = pytest.mark.acceptance
 
-# entropic-W2 regularization per experiment, calibrated at N=10,000
-TWOBALL_EPS = 60.0
-MIXTURE_EPS = 28.0
-
 
 def report(num, name, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -42,7 +38,7 @@ def report(num, name, ok, detail):
 
 def test_criterion_1_twoball():
     t0 = time.time()
-    res = experiments.run_twoball(seed=0, eps_w2=TWOBALL_EPS)
+    res = experiments.run_twoball(seed=0)
     minutes = (time.time() - t0) / 60.0
     ok = res["w2"] <= 0.05 and minutes <= 10.0
     report(1, "two-ball", ok, f"w2={res['w2']:.4f} (<=0.05), {minutes:.1f} min (<=10)")
@@ -50,7 +46,7 @@ def test_criterion_1_twoball():
 
 def test_criterion_2_mixture():
     t0 = time.time()
-    res = experiments.run_mixture(d=5, K=3, seed=11, eps_w2=MIXTURE_EPS)
+    res = experiments.run_mixture(d=5, K=3, seed=11)
     minutes = (time.time() - t0) / 60.0
     ok = (
         res["trained"] <= 3.0
@@ -66,7 +62,7 @@ def test_criterion_2_mixture():
 
 def test_criterion_3_gmm():
     t0 = time.time()
-    res = experiments.run_gmm(delta=6.0, seed=41, n_draws=1000)
+    res = experiments.run_gmm(delta=6.0, seed=41)
     minutes = (time.time() - t0) / 60.0
     worst_w2 = max(res["per_mean_w2"])
     ok = res["latent_tv"] <= 0.05 and worst_w2 <= 0.12 and minutes <= 20.0

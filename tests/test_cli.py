@@ -1,5 +1,6 @@
 """Command-line frontend: configs, artifacts, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 
@@ -91,6 +92,37 @@ def test_train_value_the_config_rejects_exits_2(tmp_path, capsys):
     assert main(["train", "--config", cfg]) == EXIT_CONFIG
     assert "adam_betas" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(tmp_path, "bad"))
+
+
+def test_train_map_gamma_sharp_exits_2(tmp_path, capsys):
+    # the smoothing sharpness has one home, train.gamma_sharp
+    cfg = write_config(
+        tmp_path,
+        {
+            "target": {"kind": "std_normal", "params": {"dim": 2}},
+            "map": {"family": "maxpot", "gamma_sharp": 5.0},
+            "train": {"max_iters": 1},
+            "out_dir": os.path.join(tmp_path, "g"),
+        },
+    )
+    assert main(["train", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "map" in err and "gamma_sharp" in err
+    assert not os.path.exists(os.path.join(tmp_path, "g"))
+
+
+def test_schema_train_objects_name_the_config_fields():
+    from otpost.cli import _SCHEMA_PATH
+    from otpost.trainer import SinkhornConfig, StopConfig, TrainConfig
+
+    with open(_SCHEMA_PATH) as fh:
+        train = json.load(fh)["properties"]["train"]
+    for obj, cls in (
+        (train, TrainConfig),
+        (train["properties"]["sinkhorn"], SinkhornConfig),
+        (train["properties"]["stop"], StopConfig),
+    ):
+        assert set(obj["properties"]) == {f.name for f in dataclasses.fields(cls)}
 
 
 def test_train_rerun_is_byte_identical(tmp_path):
@@ -195,6 +227,15 @@ def test_reference_mixture_csv(tmp_path):
 
     s = SampleMatrix.from_csv(out)
     assert s.data.shape == (200, 2)
+
+
+def test_reference_gmm_samples_the_gmm_target(tmp_path):
+    # without --n-data, the data set is the gmm training target's (300 points)
+    out = os.path.join(tmp_path, "ref.csv")
+    assert main(["reference", "--kind", "gmm", "--n", "20", "--out", out]) == EXIT_OK
+    with open(out) as fh:
+        header = fh.readline().strip().split(",")
+    assert sum(c.startswith("tau_") for c in header) == 300
 
 
 def test_unknown_experiment_exits_2(tmp_path):

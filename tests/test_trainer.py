@@ -217,6 +217,19 @@ def test_init_by_sinkhorn_matches_the_unbuffered_solver():
     assert np.array_equal(got, want)
 
 
+def test_init_by_sinkhorn_smooths_at_the_config_sharpness():
+    from otpost.refsampler import exact_mixture_sampler
+
+    Y = exact_mixture_sampler(two_ball_spec(), 64, seed=5).data
+    cfg = TrainConfig(
+        learning_rate=5e-3, seed=3, gamma_sharp=10.0,
+        sinkhorn=SinkhornConfig(n_target_samples=64, init_steps=5),
+    )
+    got = [init_by_sinkhorn(random_map(2, 2, 4, seed=40, gamma=g), Y, cfg) for g in (1.0, 10.0)]
+    assert [m.gamma_sharp for m in got] == [10.0, 10.0]
+    assert np.array_equal(got[0].flat_params(), got[1].flat_params())
+
+
 def test_init_by_sinkhorn_takes_max_potential_maps_only():
     affine = AffineMap(m=np.zeros(2), chol_factor=np.eye(2))
     with pytest.raises(TypeError):
@@ -249,6 +262,21 @@ def test_train_affine_recovers_gaussian():
     assert np.linalg.norm(amap.m - m_star) <= 2e-2
     fitted = amap.chol_factor @ amap.chol_factor.T
     assert np.linalg.norm(fitted - Sigma) <= 1e-1
+
+
+def test_train_affine_keeps_the_scale_and_starts_at_init():
+    tgt = std_normal(2)
+    init = AffineMap(m=np.array([0.3, -0.2]), chol_factor=np.array([[1.5, 0.0], [0.4, 2.0]]),
+                     n_scale=4)
+    cfg = TrainConfig(batch_size=64, max_iters=1, learning_rate=1e-3, seed=5)
+    amap, rep = train_affine(tgt, cfg, init=init)
+    assert amap.n_scale == 4
+    # the first objective is init's, on the first batch
+    X = stream(cfg.seed, 0).standard_normal((64, 2))
+    want = np.mean(tgt.log_unnorm(init.apply(X)) + init.logdet())
+    assert rep.objective_trace[0] == pytest.approx(want, rel=1e-12)
+    # one Adam step moves no parameter by more than the learning rate
+    assert np.abs(amap.m - init.m).max() <= 1.01e-3
 
 
 def test_train_improves_objective_on_gaussian():
