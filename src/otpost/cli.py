@@ -1,8 +1,10 @@
 """Configuration-driven command-line frontend.
 
 One command per process. JSON in (configs), JSON/CSV/SVG out (reports,
-samples, figures). Exit codes: 0 success, 2 usage or configuration error,
-3 numerical failure during training or solving.
+samples, figures). A training config describes each posterior once:
+`train` fits a map to its target and `reference` samples that same
+target. Exit codes: 0 success, 2 usage or configuration error (nothing is
+written), 3 numerical failure during training or solving.
 
 Heavy imports happen inside the command handlers so that --threads (or the
 OTPOST_THREADS environment variable) can cap the BLAS worker pools before
@@ -72,7 +74,7 @@ def _read_logistic_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
     if "y" not in header:
-        raise ConfigError(f"{path}: no column named 'y' in header")
+        raise ValueError(f"{path}: no column named 'y' in header")
     ycol = header.index("y")
     raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     y = raw[:, ycol]
@@ -80,77 +82,73 @@ def _read_logistic_csv(path):
     return X, y
 
 
-def _build_target(tcfg):
-    """Returns (kind, target object, spec-or-None).
+def _build_target(tcfg, path):
+    """Returns (target density, spec): the spec is the one object that both
+    the map builder and the reference sampler read, a GaussianMixtureSpec,
+    a LogisticPosteriorSpec, the gmm (data, prior, K), the discrete-mixture
+    weights, or None for std_normal. Errors are ConfigErrors naming target."""
+    import numpy as np
 
-    Continuous kinds return a TargetDensity; mixed kinds return a
-    MixedTarget. The spec is kept when exact sampling from it is possible.
-    """
     from . import mixed, target
 
     kind = tcfg["kind"]
     params = tcfg.get("params", {})
-    if kind == "std_normal":
-        return kind, target.std_normal(int(params.get("dim", 2))), None
-    if kind == "two_ball":
-        spec = target.two_ball_spec()
-        return kind, target.gaussian_mixture(spec), spec
-    if kind == "banana":
-        spec = target.banana_spec()
-        return kind, target.gaussian_mixture(spec), spec
-    if kind == "mixture":
-        spec = target.mixture_spec(
-            int(params.get("d", 5)), int(params.get("K", 3)),
-            int(params.get("seed", 0)),
-        )
-        return kind, target.gaussian_mixture(spec), spec
-    if kind == "gaussian_mixture":
-        import numpy as np
-
-        spec = target.GaussianMixtureSpec(
-            weights=np.array(params["weights"], dtype=float),
-            means=np.array(params["means"], dtype=float),
-            covariances=np.array(params["covariances"], dtype=float),
-        )
-        return kind, target.gaussian_mixture(spec), spec
-    if kind == "logistic":
-        if "csv_path" in tcfg:
-            X, y = _read_logistic_csv(tcfg["csv_path"])
-            spec = target.LogisticPosteriorSpec(
-                X=X, y=y, prior_sigma=float(params.get("prior_sigma", 10.0))
+    try:
+        if kind == "std_normal":
+            return target.std_normal(int(params.get("dim", 2))), None
+        if kind == "logistic":
+            if "csv_path" in tcfg:
+                X, y = _read_logistic_csv(tcfg["csv_path"])
+                spec = target.LogisticPosteriorSpec(
+                    X=X, y=y, prior_sigma=float(params.get("prior_sigma", 10.0))
+                )
+            else:
+                spec, _ = target.logistic_data(
+                    int(params.get("n", 1000)), int(params.get("p", 10)),
+                    float(params.get("rho", 0.5)), int(params.get("seed", 0)),
+                )
+            return target.logistic_posterior(spec), spec
+        if kind == "discrete_mixture":
+            weights = params["weights"]
+            return mixed.discrete_mixture_target(
+                weights, params["means"], params["sds"]
+            ), weights
+        if kind == "gmm":
+            prior_cfg = params.get("prior", {})
+            if "csv_path" in tcfg:
+                data = np.loadtxt(tcfg["csv_path"], delimiter=",", skiprows=1, ndmin=2)
+            else:
+                data, _, _ = target.gmm_data(
+                    float(params.get("delta", 6.0)), int(params.get("seed", 0)),
+                    n=int(params.get("n_obs", 300)),
+                )
+            prior = mixed.GmmPrior(
+                m0=np.array(prior_cfg.get("m0", [0.0] * data.shape[1]), dtype=float),
+                prior_sd=float(prior_cfg.get("prior_sd", 10.0)),
+                obs_sd=float(prior_cfg.get("obs_sd", 1.0)),
             )
-        else:
-            spec, _ = target.logistic_data(
-                int(params.get("n", 1000)), int(params.get("p", 10)),
-                float(params.get("rho", 0.5)), int(params.get("seed", 0)),
+            K = int(params.get("K", 3))
+            return mixed.gmm_mixed_target(data, prior, K), (data, prior, K)
+        if kind == "two_ball":
+            spec = target.two_ball_spec()
+        elif kind == "banana":
+            spec = target.banana_spec()
+        elif kind == "mixture":
+            spec = target.mixture_spec(
+                int(params.get("d", 5)), int(params.get("K", 3)),
+                int(params.get("seed", 0)),
             )
-        return kind, target.logistic_posterior(spec), spec
-    if kind == "discrete_mixture":
-        tg = mixed.discrete_mixture_target(
-            params["weights"], params["means"], params["sds"]
-        )
-        return kind, tg, None
-    if kind == "gmm":
-        import numpy as np
-
-        prior_cfg = params.get("prior", {})
-        if "csv_path" in tcfg:
-            data = np.loadtxt(tcfg["csv_path"], delimiter=",", skiprows=1, ndmin=2)
-        else:
-            data, _, _ = target.gmm_data(
-                float(params.get("delta", 6.0)), int(params.get("seed", 0)),
-                n=int(params.get("n_obs", 300)),
+        else:  # gaussian_mixture, the last kind the schema allows
+            spec = target.GaussianMixtureSpec(
+                weights=np.array(params["weights"], dtype=float),
+                means=np.array(params["means"], dtype=float),
+                covariances=np.array(params["covariances"], dtype=float),
             )
-        prior = mixed.GmmPrior(
-            m0=np.array(prior_cfg.get("m0", [0.0] * data.shape[1]), dtype=float),
-            prior_sd=float(prior_cfg.get("prior_sd", 10.0)),
-            obs_sd=float(prior_cfg.get("obs_sd", 1.0)),
-        )
-        K = int(params.get("K", 3))
-        tg = mixed.gmm_mixed_target(data, prior, K)
-        tg = (tg, data, prior, K)  # keep pieces for map construction
-        return kind, tg, None
-    raise ConfigError(f"unknown target kind {kind!r}")
+        return target.gaussian_mixture(spec), spec
+    except KeyError as e:
+        raise ConfigError(f"{path}: target.params: missing key {e}")
+    except (IndexError, TypeError, ValueError, OSError) as e:
+        raise ConfigError(f"{path}: target: {e}")
 
 
 def _activation(name):
@@ -163,15 +161,18 @@ def cmd_train(args):
     cfg = _load_config(args.config)
     from . import experiments, mixed, refsampler, trainer
     from .potential import map_to_json
-    from .rng import stream
+    from .target import GaussianMixtureSpec
 
     tcfg, mcfg = cfg["target"], cfg["map"]
     try:
         tconf = trainer.TrainConfig.from_dict(cfg.get("train", {}))
     except ValueError as e:  # a value the schema allows but the config rejects
         raise ConfigError(f"{args.config}: train: {e}")
-    kind, tgt, spec = _build_target(tcfg)
-    family = mcfg["family"]
+    tgt, spec = _build_target(tcfg, args.config)
+    kind, family = tcfg["kind"], mcfg["family"]
+    need = {"semidiscrete": "discrete_mixture", "gmm_meanfield": "gmm"}.get(family)
+    if need and kind != need:
+        raise ConfigError(f"{args.config}: {family} maps require target.kind = {need}")
     seed = int(mcfg.get("seed", tconf.seed))
     try:
         if family == "affine":
@@ -183,7 +184,7 @@ def cmd_train(args):
                 activation=_activation(mcfg.get("activation")),
                 gamma_sharp=tconf.gamma_sharp,
             )
-            if tconf.sinkhorn is not None and spec is not None and hasattr(spec, "weights"):
+            if tconf.sinkhorn is not None and isinstance(spec, GaussianMixtureSpec):
                 sub = refsampler.exact_mixture_sampler(
                     spec, tconf.sinkhorn.n_target_samples, seed=seed + 1
                 ).data
@@ -191,23 +192,15 @@ def cmd_train(args):
             mp, report = trainer.train(mp, tgt, tconf)
             map_doc = map_to_json(mp)
         elif family == "semidiscrete":
-            if kind != "discrete_mixture":
-                raise ConfigError(
-                    "semidiscrete maps require target.kind = discrete_mixture"
-                )
             mp = mixed.random_semidiscrete_map(
-                K=len(tcfg["params"]["weights"]),
-                p=len(tcfg["params"]["means"][0]),
-                M=int(mcfg.get("M", 8)), seed=seed,
+                K=len(spec), p=tgt.dim, M=int(mcfg.get("M", 8)), seed=seed,
                 kappa=float(mcfg.get("kappa", 1.0)),
                 activation=_activation(mcfg.get("activation")),
             )
             mp, report = trainer.train_mixed(mp, tgt, tconf)
             map_doc = mixed.mixed_map_to_json(mp)
-        elif family == "gmm_meanfield":
-            if kind != "gmm":
-                raise ConfigError("gmm_meanfield maps require target.kind = gmm")
-            tgt, data, prior, K = tgt
+        else:  # gmm_meanfield, the last family the schema allows
+            data, prior, K = spec
             mp = mixed.random_gmm_map(
                 n_obs=data.shape[0], K=K, d=data.shape[1],
                 M=int(mcfg.get("M", 4)), seed=seed,
@@ -216,8 +209,6 @@ def cmd_train(args):
             )
             mp, report = trainer.train_mixed(mp, tgt, tconf)
             map_doc = mixed.mixed_map_to_json(mp)
-        else:
-            raise ConfigError(f"unknown map family {family!r}")
     except (trainer.SinkhornNonConvergence, FloatingPointError) as e:
         raise NumericalError(f"training aborted: {e}")
     out_dir = cfg["out_dir"]
@@ -302,7 +293,10 @@ def cmd_invert(args):
     from . import inference
 
     mp = _load_map(args.map)
-    theta0 = [float(t) for t in args.theta0.split(",")]
+    try:
+        theta0 = [float(t) for t in args.theta0.split(",")]
+    except ValueError:
+        raise ConfigError(f"--theta0 {args.theta0!r}: not comma-separated numbers")
     if len(theta0) != mp.dim:
         raise ConfigError(
             f"--theta0 has {len(theta0)} coordinates, map expects {mp.dim}"
@@ -328,15 +322,22 @@ def cmd_invert(args):
     return EXIT_OK
 
 
+def _read_samples(path):
+    from .samples import SampleMatrix
+
+    try:
+        return SampleMatrix.from_csv(path)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"{path}: {e}")
+
+
 def cmd_metrics(args):
     import numpy as np
 
     from . import metrics
-    from .samples import SampleMatrix
     from .trainer import SinkhornNonConvergence
 
-    A = SampleMatrix.from_csv(args.a)
-    B = SampleMatrix.from_csv(args.b)
+    A, B = _read_samples(args.a), _read_samples(args.b)
     eps = args.epsilon
     if args.metric == "w2":
         value = metrics.w2_exact(A, B)
@@ -363,11 +364,9 @@ def cmd_metrics(args):
         value = float(
             np.mean([metrics.ci_difference_ratio(x, y) for x, y in zip(ca, cb)])
         )
-    elif args.metric == "stdw2":
+    else:  # stdw2
         scales = B.data.std(axis=0)
         value = metrics.standardized_w2(A, B, scales)
-    else:
-        raise ConfigError(f"unknown metric {args.metric!r}")
     text = metrics.metric_report(args.metric, float(value), n=A.n, epsilon=eps)
     if args.out:
         with open(args.out, "w") as fh:
@@ -377,74 +376,76 @@ def cmd_metrics(args):
 
 
 def cmd_reference(args):
-    from . import mixed, refsampler, target
+    from . import refsampler
     from .samples import SampleMatrix
 
-    if args.n_data is None:  # the training targets' defaults
-        args.n_data = 300 if args.kind == "gmm" else 1000
-    if args.kind == "mixture":
-        spec = target.mixture_spec(args.d, args.K, args.data_seed)
-        draws = refsampler.exact_mixture_sampler(spec, args.n, seed=args.seed)
-    elif args.kind == "logistic":
-        spec, _ = target.logistic_data(args.n_data, args.p, args.rho, args.data_seed)
+    tcfg = _load_config(args.config)["target"]
+    kind = tcfg["kind"]
+    if kind in ("std_normal", "discrete_mixture"):
+        raise ConfigError(f"{args.config}: target.kind {kind!r}: no reference sampler")
+    _, spec = _build_target(tcfg, args.config)
+    if kind == "logistic":
         draws = refsampler.amh_logistic(spec, iters=args.n, seed=args.seed)
-    elif args.kind == "gmm":
-        import numpy as np
-
-        data, _, _ = target.gmm_data(args.delta, args.data_seed, n=args.n_data)
-        prior = mixed.GmmPrior(m0=np.zeros(data.shape[1]), prior_sd=10.0)
+    elif kind == "gmm":
+        data, prior, K = spec
         labels, means = refsampler.gibbs_gmm(
-            data, prior, args.K, iters=args.n, seed=args.seed
+            data, prior, K, iters=args.n, seed=args.seed
         )
         draws = SampleMatrix.mixed(labels.astype(float), means)
     else:
-        raise ConfigError(f"unknown reference kind {args.kind!r}")
+        draws = refsampler.exact_mixture_sampler(spec, args.n, seed=args.seed)
     draws.to_csv(args.out)
     print(f"wrote {draws.n} draws to {args.out}")
     return EXIT_OK
 
 
-def _parse_experiment(name):
-    import re
-
-    m = re.fullmatch(r"(\w+)(?:\(([^)]*)\))?", name.strip())
-    if not m:
-        raise ConfigError(f"cannot parse experiment name {name!r}")
-    base, argstr = m.group(1), m.group(2)
-    extra = [float(a) for a in argstr.split(",")] if argstr else []
-    return base, extra
+# experiment NAME runs experiments.run_NAME; its arguments in --name, typed
+_EXPERIMENT_ARGS = {
+    "twoball": (), "banana": (), "mixture": (("d", int), ("K", int)),
+    "logistic": (("rho", float),), "sparse_logistic": (), "gmm": (("delta", float),),
+}
 
 
 def cmd_experiment(args):
+    import re
+
     from . import experiments
 
-    base, extra = _parse_experiment(args.name)
-    kwargs = {"out_dir": args.out_dir}
+    m = re.fullmatch(r"(\w+)(?:\(([^)]*)\))?", args.name.strip())
+    if not m or m.group(1) not in _EXPERIMENT_ARGS:
+        raise ConfigError(f"unknown experiment {args.name!r}")
+    base, argstr = m.group(1), m.group(2)
+    params = _EXPERIMENT_ARGS[base]
+    extra = argstr.split(",") if argstr else []
+    try:  # no arguments, or one number for each
+        pairs = zip(params if extra else (), extra, strict=True)
+        kwargs = {name: conv(float(a)) for (name, conv), a in pairs}
+    except ValueError:
+        usage = f"{base}({','.join(name for name, _ in params)})" if params else base
+        raise ConfigError(f"--name {args.name!r}: expected {usage}")
+    kwargs["out_dir"] = args.out_dir
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    if base == "twoball":
-        results = experiments.run_twoball(**kwargs)
-    elif base == "banana":
-        results = experiments.run_banana(**kwargs)
-    elif base == "mixture":
-        if extra:
-            kwargs["d"], kwargs["K"] = int(extra[0]), int(extra[1])
-        results = experiments.run_mixture(**kwargs)
-    elif base == "logistic":
-        if extra:
-            kwargs["rho"] = extra[0]
-        results = experiments.run_logistic(**kwargs)
-    elif base == "sparse_logistic":
-        results = experiments.run_sparse_logistic(**kwargs)
-    elif base == "gmm":
-        if extra:
-            kwargs["delta"] = extra[0]
-        results = experiments.run_gmm(**kwargs)
-    else:
-        raise ConfigError(f"unknown experiment {args.name!r}")
+    results = getattr(experiments, f"run_{base}")(**kwargs)
     results = {k: v for k, v in results.items() if not k.startswith("_")}
     print(json.dumps(results, indent=2))
     return EXIT_OK
+
+
+def _count(text):
+    """argparse type: a positive integer."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return n
+
+
+def _level(text):
+    """argparse type: a probability strictly between 0 and 1."""
+    q = float(text)
+    if not 0 < q < 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return q
 
 
 def build_parser():
@@ -462,15 +463,15 @@ def build_parser():
 
     p = sub.add_parser("sample", help="draw pushforward samples from a map")
     p.add_argument("--map", required=True)
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=_count, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("quantiles", help="emit quantile contours as CSV+SVG")
     p.add_argument("--map", required=True)
-    p.add_argument("--q", type=float, action="append")
-    p.add_argument("--n-points", type=int, default=256)
+    p.add_argument("--q", type=_level, action="append")
+    p.add_argument("--n-points", type=_count, default=256)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_quantiles)
@@ -487,22 +488,18 @@ def build_parser():
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", type=_level, default=0.95)
     p.add_argument("--out")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("reference", help="run a reference sampler to CSV")
-    p.add_argument("--kind", required=True, choices=["mixture", "logistic", "gmm"])
-    p.add_argument("--n", type=int, default=1000, help="draws / sampler iterations")
+    p = sub.add_parser(
+        "reference", help="sample the posterior of a training config's target to CSV"
+    )
+    p.add_argument("--config", required=True, help="the training config (JSON)")
+    p.add_argument("--n", type=_count, default=1000,
+                   help="draws; MCMC iterations for logistic and gmm (the first "
+                        "20%% are dropped)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--data-seed", type=int, default=0)
-    p.add_argument("--d", type=int, default=5)
-    p.add_argument("--K", type=int, default=3)
-    p.add_argument("--p", type=int, default=10)
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=6.0)
-    p.add_argument("--n-data", type=int, default=None,
-                   help="observations (default: 1000 for logistic, 300 for gmm)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reference)
 

@@ -347,6 +347,8 @@ def discrete_mixture_target(weights, means, sds) -> MixedTarget:
     sd = np.atleast_2d(np.asarray(sds, dtype=float))
     if not np.isclose(w.sum(), 1.0) or np.any(w <= 0):
         raise ValueError("weights must be positive and sum to 1")
+    if sd.shape != mu.shape or np.any(sd <= 0) or len(w) != len(mu):
+        raise ValueError("sds must be positive and shaped like means, one row per weight")
 
     def log_unnorm(tau, zeta):
         tau = np.asarray(tau, dtype=int).reshape(-1)

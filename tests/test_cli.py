@@ -217,11 +217,37 @@ def test_invert_dimension_mismatch_exits_2(tmp_path, trained_map):
     assert main(["invert", "--map", trained_map, "--theta0", "0,0,0"]) == EXIT_CONFIG
 
 
+def reference_config(tmp_path, target, family="maxpot"):
+    """A training config; `otpost reference` samples the posterior of its target."""
+    return write_config(
+        tmp_path,
+        {"target": target, "map": {"family": family}, "out_dir": os.path.join(tmp_path, "o")},
+        name="ref_cfg.json",
+    )
+
+
+def reference_csv(tmp_path, target, n, seed, family="maxpot"):
+    cfg = reference_config(tmp_path, target, family)
+    out = os.path.join(tmp_path, "ref.csv")
+    argv = ["reference", "--config", cfg, "--n", str(n), "--seed", str(seed), "--out", out]
+    assert main(argv) == EXIT_OK
+    assert not os.path.exists(os.path.join(tmp_path, "o"))
+    with open(out) as fh:
+        return fh.read()
+
+
+def csv_text(tmp_path, draws):
+    path = os.path.join(tmp_path, "direct.csv")
+    draws.to_csv(path)
+    with open(path) as fh:
+        return fh.read()
+
+
 def test_reference_mixture_csv(tmp_path):
+    cfg = reference_config(tmp_path, {"kind": "mixture", "params": {"d": 2, "K": 2}})
     out = os.path.join(tmp_path, "ref.csv")
     assert main([
-        "reference", "--kind", "mixture", "--d", "2", "--K", "2", "--n", "200",
-        "--seed", "5", "--out", out,
+        "reference", "--config", cfg, "--n", "200", "--seed", "5", "--out", out,
     ]) == EXIT_OK
     from otpost.samples import SampleMatrix
 
@@ -230,12 +256,117 @@ def test_reference_mixture_csv(tmp_path):
 
 
 def test_reference_gmm_samples_the_gmm_target(tmp_path):
-    # without --n-data, the data set is the gmm training target's (300 points)
+    # the gmm training target's default data set (300 points)
+    cfg = reference_config(tmp_path, {"kind": "gmm"}, family="gmm_meanfield")
     out = os.path.join(tmp_path, "ref.csv")
-    assert main(["reference", "--kind", "gmm", "--n", "20", "--out", out]) == EXIT_OK
+    assert main(["reference", "--config", cfg, "--n", "20", "--out", out]) == EXIT_OK
     with open(out) as fh:
         header = fh.readline().strip().split(",")
     assert sum(c.startswith("tau_") for c in header) == 300
+
+
+def test_reference_two_ball_is_the_exact_sampler(tmp_path):
+    from otpost.refsampler import exact_mixture_sampler
+    from otpost.target import two_ball_spec
+
+    got = reference_csv(tmp_path, {"kind": "two_ball"}, n=150, seed=7)
+    assert got == csv_text(tmp_path, exact_mixture_sampler(two_ball_spec(), 150, seed=7))
+
+
+def test_reference_gmm_reads_the_config_data_and_prior(tmp_path):
+    from otpost.mixed import GmmPrior
+    from otpost.refsampler import gibbs_gmm
+    from otpost.samples import SampleMatrix
+
+    data = np.random.default_rng(3).standard_normal((12, 2)) * 3.0
+    csv = os.path.join(tmp_path, "obs.csv")
+    np.savetxt(csv, data, delimiter=",", header="x0,x1", comments="")
+    target = {"kind": "gmm", "csv_path": csv, "params": {"K": 2, "prior": {"prior_sd": 2.0}}}
+    got = reference_csv(tmp_path, target, n=30, seed=4, family="gmm_meanfield")
+    labels, means = gibbs_gmm(
+        np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2),
+        GmmPrior(m0=np.zeros(2), prior_sd=2.0), 2, iters=30, seed=4,
+    )
+    assert got == csv_text(tmp_path, SampleMatrix.mixed(labels.astype(float), means))
+
+
+def test_reference_logistic_reads_the_config_csv(tmp_path):
+    from otpost.refsampler import amh_logistic
+    from otpost.target import LogisticPosteriorSpec
+
+    rg = np.random.default_rng(8)
+    X = rg.standard_normal((40, 2))
+    y = (X[:, 0] + rg.standard_normal(40) > 0).astype(float)
+    csv = os.path.join(tmp_path, "xy.csv")
+    np.savetxt(csv, np.column_stack([X, y]), delimiter=",", header="a,b,y", comments="")
+    got = reference_csv(tmp_path, {"kind": "logistic", "csv_path": csv}, n=50, seed=2)
+    raw = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+    spec = LogisticPosteriorSpec(X=raw[:, :2], y=raw[:, 2])
+    assert got == csv_text(tmp_path, amh_logistic(spec, iters=50, seed=2))
+
+
+@pytest.mark.parametrize("target, family", [
+    ({"kind": "std_normal"}, "affine"),
+    ({"kind": "discrete_mixture", "params": {
+        "weights": [0.5, 0.5], "means": [[0.0], [1.0]], "sds": [[1.0], [1.0]]}},
+     "semidiscrete"),
+], ids=["std_normal", "discrete_mixture"])
+def test_reference_without_a_sampler_exits_2(tmp_path, capsys, target, family):
+    cfg = reference_config(tmp_path, target, family)
+    out = os.path.join(tmp_path, "ref.csv")
+    assert main(["reference", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert f"target.kind {target['kind']!r}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+_DISCRETE = {"weights": [0.5, 0.5], "means": [[0.0, 0.0], [2.0, 2.0]],
+             "sds": [[1.0, 1.0], [1.0, 1.0]]}
+
+
+@pytest.mark.parametrize("target, family", [
+    ({"kind": "discrete_mixture", "params": {**_DISCRETE, "weights": [0.5, 0.6]}},
+     "semidiscrete"),
+    ({"kind": "discrete_mixture", "params": {**_DISCRETE, "sds": [1.0, 0.5]}},
+     "semidiscrete"),
+    ({"kind": "gaussian_mixture", "params": {"weights": [1.0], "covariances": [[[1.0]]]}},
+     "maxpot"),
+    ({"kind": "logistic", "csv_path": "no_such_file.csv"}, "affine"),
+], ids=["weights", "sds", "means", "csv_path"])
+def test_train_target_that_cannot_be_built_exits_2(tmp_path, capsys, target, family):
+    out = os.path.join(tmp_path, "t")
+    cfg = write_config(tmp_path, {
+        "target": target, "map": {"family": family},
+        "train": {"max_iters": 2, "batch_size": 8}, "out_dir": out,
+    })
+    assert main(["train", "--config", cfg]) == EXIT_CONFIG
+    assert "target" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def exit_code(argv):
+    """main's return value, or the exit code of an argparse usage error."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["sample", "--map", "{map}", "--n", "-3", "--out", "{out}/s.csv"], "--n"),
+    (["quantiles", "--map", "{map}", "--q", "1.5", "--out-dir", "{out}/q"], "--q"),
+    (["invert", "--map", "{map}", "--theta0", "a,b", "--out", "{out}/i.json"], "--theta0"),
+    (["metrics", "--metric", "w2", "--a", "{out}/missing.csv", "--b", "{out}/missing.csv",
+      "--out", "{out}/m.json"], "missing.csv"),
+    (["experiment", "--name", "mixture(5)", "--out-dir", "{out}/e"], "--name"),
+], ids=["sample-n", "quantiles-q", "invert-theta0", "metrics-a", "experiment-name"])
+def test_usage_error_exits_2_and_writes_nothing(tmp_path, trained_map, capsys, argv, named):
+    out = os.path.join(tmp_path, "usage")
+    os.makedirs(out)
+    argv = [a.format(map=trained_map, out=out) for a in argv]
+    capsys.readouterr()
+    assert exit_code(argv) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_unknown_experiment_exits_2(tmp_path):
