@@ -170,9 +170,14 @@ def cmd_train(args):
         raise ConfigError(f"{args.config}: train: {e}")
     tgt, spec = _build_target(tcfg, args.config)
     kind, family = tcfg["kind"], mcfg["family"]
-    need = {"semidiscrete": "discrete_mixture", "gmm_meanfield": "gmm"}.get(family)
-    if need and kind != need:
-        raise ConfigError(f"{args.config}: {family} maps require target.kind = {need}")
+    # a mixed target is fitted by its own map family, any other target by a
+    # continuous one (affine, maxpot)
+    mixed_kind = {"semidiscrete": "discrete_mixture", "gmm_meanfield": "gmm"}
+    need = mixed_kind.get(family)
+    if kind != need and (need or kind in mixed_kind.values()):
+        fits = f"target.kind {need}" if need else "continuous targets"
+        raise ConfigError(f"{args.config}: map.family {family} fits {fits}, "
+                          f"not target.kind {kind}")
     seed = int(mcfg.get("seed", tconf.seed))
     try:
         if family == "affine":
@@ -339,34 +344,36 @@ def cmd_metrics(args):
 
     A, B = _read_samples(args.a), _read_samples(args.b)
     eps = args.epsilon
-    if args.metric == "w2":
-        value = metrics.w2_exact(A, B)
-    elif args.metric == "w2eps":
-        if eps is None:
-            raise ConfigError("--metric w2eps requires --epsilon")
-        try:
+    if args.metric == "w2eps" and eps is None:
+        raise ConfigError("--metric w2eps requires --epsilon")
+    try:
+        if args.metric == "w2":
+            value = metrics.w2_exact(A, B)
+        elif args.metric == "w2eps":
             value = metrics.w2_entropic(A, B, eps)
-        except SinkhornNonConvergence as e:
-            raise NumericalError(f"w2eps: {e}")
-    elif args.metric == "tv":
-        cols_a, cols_b = A.tau_columns() or [0], B.tau_columns() or [0]
-        ha = np.bincount(A.data[:, cols_a].astype(int).ravel())
-        hb = np.bincount(B.data[:, cols_b].astype(int).ravel())
-        width = max(len(ha), len(hb))
-        value = metrics.tv_latent(
-            np.pad(ha, (0, width - len(ha))), np.pad(hb, (0, width - len(hb)))
-        )
-    elif args.metric == "ciratio":
-        from .experiments import marginal_ci
+        elif args.metric == "tv":
+            cols_a, cols_b = A.tau_columns() or [0], B.tau_columns() or [0]
+            ha = np.bincount(A.data[:, cols_a].astype(int).ravel())
+            hb = np.bincount(B.data[:, cols_b].astype(int).ravel())
+            width = max(len(ha), len(hb))
+            value = metrics.tv_latent(
+                np.pad(ha, (0, width - len(ha))), np.pad(hb, (0, width - len(hb)))
+            )
+        elif args.metric == "ciratio":
+            from .experiments import marginal_ci
 
-        ca = marginal_ci(A.data, args.level)
-        cb = marginal_ci(B.data, args.level)
-        value = float(
-            np.mean([metrics.ci_difference_ratio(x, y) for x, y in zip(ca, cb)])
-        )
-    else:  # stdw2
-        scales = B.data.std(axis=0)
-        value = metrics.standardized_w2(A, B, scales)
+            ca = marginal_ci(A.data, args.level)
+            cb = marginal_ci(B.data, args.level)
+            value = float(np.mean(
+                [metrics.ci_difference_ratio(x, y) for x, y in zip(ca, cb, strict=True)]
+            ))
+        else:  # stdw2
+            scales = B.data.std(axis=0)
+            value = metrics.standardized_w2(A, B, scales)
+    except SinkhornNonConvergence as e:
+        raise NumericalError(f"w2eps: {e}")
+    except ValueError as e:  # clouds that the metric cannot compare
+        raise ConfigError(f"--a {args.a}, --b {args.b}: {e}")
     text = metrics.metric_report(args.metric, float(value), n=A.n, epsilon=eps)
     if args.out:
         with open(args.out, "w") as fh:
@@ -440,6 +447,14 @@ def _count(text):
     return n
 
 
+def _positive(text):
+    """argparse type: a positive number."""
+    x = float(text)
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return x
+
+
 def _level(text):
     """argparse type: a probability strictly between 0 and 1."""
     q = float(text)
@@ -487,7 +502,7 @@ def build_parser():
                    choices=["w2", "w2eps", "tv", "ciratio", "stdw2"])
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--epsilon", type=float)
+    p.add_argument("--epsilon", type=_positive)
     p.add_argument("--level", type=_level, default=0.95)
     p.add_argument("--out")
     p.set_defaults(func=cmd_metrics)

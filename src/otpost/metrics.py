@@ -52,6 +52,7 @@ def w2_exact(A, B) -> float:
 
 
 _BIG_ENTRIES = 4_000_000
+_OMEGA = 1.7  # over-relaxation of the large-cloud cross solve's last level
 
 
 def _sqdist32(A, B):
@@ -65,7 +66,7 @@ def _sqdist32(A, B):
     return C
 
 
-def _ot_entropic_big(C, epsilon, iters, tol=1e-3):
+def _ot_entropic_big(C, epsilon, iters, tol=1e-3, omega=1.0):
     """Sinkhorn on a float32 cost matrix with epsilon scaling, all in float32.
 
     The duals, the scalings, the kernel and every temporary are float32;
@@ -73,17 +74,27 @@ def _ot_entropic_big(C, epsilon, iters, tol=1e-3):
     holds one n x m float32 buffer, so a solve needs about two n x m
     float32 arrays (8 n m bytes).
 
-    The ladder runs from C.max()/8 down to epsilon in steps of 4, and every
-    level runs the same scaling iteration against the absorbed kernel
+    The ladder runs from C.max()/64 down to epsilon in steps of 4, so a
+    solve with C.max()/epsilon <= 64 runs a single level: its kernel
+    exponents stay above -64, where float32 exp is still a normal number.
+    Every level runs the same scaling iteration against the absorbed kernel
     exp((f + g - C)/eps), kept in the buffer: 8 iterations on a warm level,
     at most ``iters`` on the last. The scalings are absorbed into the duals
-    whenever they leave [1e-15, 1e15] and at the end of each level. The
-    first level's exponents are at most 8, and after an absorption every
-    row of the kernel holds an entry of about 1 or more, so the next level's
-    4x larger exponents cannot underflow a whole row. Every 20 iterations,
-    and at the end of a level, the l1 marginal violation (fraction of total
-    coupling mass) is read from the product the next iteration needs
-    anyway; the solve stops once it drops below tol on the last level.
+    whenever they leave [1e-15, 1e15] and at the end of each level. After
+    an absorption every row of the kernel holds an entry of about 1 or
+    more, so the next level's 4x larger exponents cannot underflow a whole
+    row. Every 20 iterations, and at the end of a level, the l1 marginal
+    violation (fraction of total coupling mass) is read from the product
+    the next iteration needs anyway; the solve stops once it drops below
+    tol on the last level.
+
+    With ``omega`` > 1 the last level is over-relaxed (Thibault, Chizat,
+    Dossal & Papadakis, arXiv:1711.01851): phi <- phi^(1-omega) (m/K psi)^omega,
+    and psi the same way. Once a violation check reads higher than the one
+    before, the rest of the level runs plain (omega = 1). A level that ends
+    relaxed gets one plain phi, psi pair before it is absorbed, since a
+    relaxed iterate misses the marginals by a bias that mean(f) + mean(g)
+    would keep; the returned violation is read after that pair.
     """
     n, m = C.shape
     f32 = np.float32
@@ -91,7 +102,7 @@ def _ot_entropic_big(C, epsilon, iters, tol=1e-3):
     g = np.zeros(m, dtype=f32)
     M = np.empty_like(C)
     ladder = []
-    e = max(float(C.max()) / 8.0, epsilon)
+    e = max(float(C.max()) / 64.0, epsilon)
     while e > epsilon * 1.001:
         ladder.append(e)
         e /= 4.0
@@ -109,17 +120,23 @@ def _ot_entropic_big(C, epsilon, iters, tol=1e-3):
         f = f + e * np.log(phi)
         g = g + e * np.log(psi)
 
+    def _violation(phi, Kpsi):
+        return float(np.abs(phi * Kpsi / f32(n * m) - 1.0 / n).sum())
+
     viol = np.inf
     for k, e in enumerate(ladder):
         e = f32(e)
-        level_iters = iters if k == len(ladder) - 1 else 8
+        last = k == len(ladder) - 1
+        level_iters = iters if last else 8
+        w = f32(omega if last else 1.0)
         _kernel()
         phi = np.ones(n, dtype=f32)
         psi = np.ones(m, dtype=f32)
         Kpsi = M @ psi
+        prev = np.inf
         for it in range(level_iters):
-            phi = m / np.maximum(Kpsi, tiny)
-            psi = n / np.maximum(M.T @ phi, tiny)
+            phi = _relax(phi, m / np.maximum(Kpsi, tiny), w)
+            psi = _relax(psi, n / np.maximum(M.T @ phi, tiny), w)
             if max(phi.max(), psi.max()) > 1e15 or min(phi.min(), psi.min()) < 1e-15:
                 _absorb(phi, psi)
                 _kernel()
@@ -127,13 +144,32 @@ def _ot_entropic_big(C, epsilon, iters, tol=1e-3):
                 psi = np.ones(m, dtype=f32)
             Kpsi = M @ psi
             if (it + 1) % 20 == 0 or it == level_iters - 1:
-                rows = phi * Kpsi / f32(n * m)
-                viol = float(np.abs(rows - 1.0 / n).sum())
+                viol = _violation(phi, Kpsi)
                 if viol < tol:
                     break
+                if not viol <= prev:
+                    w = f32(1.0)
+                prev = viol
+        if w != 1:
+            phi = m / np.maximum(Kpsi, tiny)
+            psi = n / np.maximum(M.T @ phi, tiny)
+            Kpsi = M @ psi
+            viol = _violation(phi, Kpsi)
         _absorb(phi, psi)
     value = f.mean(dtype=np.float64) + g.mean(dtype=np.float64)
     return float(value), float(viol)
+
+
+def _relax(old, new, w):
+    """old^(1-w) new^w, computed as new (new/old)^(w-1) for 1 < w <= 2. The
+    ratio is clipped to [1e-8, 1e8] so that a far-off first step cannot
+    overflow float32."""
+    if w == 1:
+        return new
+    q = np.clip(new / old, np.float32(1e-8), np.float32(1e8))
+    np.power(q, w - 1, out=q)
+    q *= new
+    return q
 
 
 def w2_entropic(A, B, epsilon: float, iters: int = 5000, tol: float = 1e-6) -> float:
@@ -145,7 +181,10 @@ def w2_entropic(A, B, epsilon: float, iters: int = 5000, tol: float = 1e-6) -> f
     float32 arrays (8 n m bytes; 800 MB at 10,000 points a side). There the
     violation is measured in l1 (fraction of total coupling mass, the only
     meaningful scale when each marginal is 1/n) and tol below 1e-3 is
-    rounded up to 1e-3.
+    rounded up to 1e-3. The cross solve OT(A, B) over-relaxes its last
+    epsilon level at omega = 1.7. The self solves OT(A, A) and OT(B, B) run
+    plain: they meet tol within a few dozen plain iterations, and at 1.7
+    they stop further from the converged value.
     """
     A, B = _cloud(A), _cloud(B)
     if A.shape[1] != B.shape[1]:
@@ -157,16 +196,17 @@ def w2_entropic(A, B, epsilon: float, iters: int = 5000, tol: float = 1e-6) -> f
     if A.shape[0] * B.shape[0] > _BIG_ENTRIES:
         tol = max(tol, 1e-3)
 
-        def solve(X, Y):
+        def solve(X, Y, omega):
             C = _sqdist32(X, Y)
-            return _ot_entropic_big(C, epsilon, min(iters, 3000), tol)
+            return _ot_entropic_big(C, epsilon, min(iters, 3000), tol, omega)
     else:
 
-        def solve(X, Y):
+        def solve(X, Y, omega):
             v, _, viol = _ot_entropic(X, Y, epsilon, iters, tol)
             return v, viol
 
-    (v_ab, v_aa, v_bb), viols = zip(*(solve(X, Y) for X, Y in ((A, B), (A, A), (B, B))))
+    pairs = ((A, B, _OMEGA), (A, A, 1.0), (B, B, 1.0))
+    (v_ab, v_aa, v_bb), viols = zip(*(solve(*pair) for pair in pairs))
     worst = max(viols)
     if worst > tol:
         raise SinkhornNonConvergence(worst)

@@ -369,6 +369,48 @@ def test_usage_error_exits_2_and_writes_nothing(tmp_path, trained_map, capsys, a
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("metric, dim_b, extra, named", [
+    ("w2", 3, [], "--a"),
+    ("w2eps", 3, ["--epsilon", "1.0"], "--a"),
+    ("w2eps", 2, ["--epsilon", "-1"], "--epsilon"),
+    ("ciratio", 3, [], "--a"),
+], ids=["w2-dim", "w2eps-dim", "w2eps-epsilon", "ciratio-dim"])
+def test_metrics_input_error_exits_2_and_writes_nothing(tmp_path, capsys, metric, dim_b,
+                                                        extra, named):
+    from otpost.samples import SampleMatrix
+
+    rg = np.random.default_rng(0)
+    a, b = os.path.join(tmp_path, "a.csv"), os.path.join(tmp_path, "b.csv")
+    SampleMatrix.continuous(rg.standard_normal((20, 2))).to_csv(a)
+    SampleMatrix.continuous(rg.standard_normal((20, dim_b))).to_csv(b)
+    out = os.path.join(tmp_path, "m.json")
+    capsys.readouterr()
+    argv = ["metrics", "--metric", metric, "--a", a, "--b", b, "--out", out, *extra]
+    assert exit_code(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("target, family", [
+    ({"kind": "discrete_mixture", "params": _DISCRETE}, "maxpot"),
+    ({"kind": "gmm"}, "affine"),
+    ({"kind": "two_ball"}, "semidiscrete"),
+    ({"kind": "std_normal"}, "gmm_meanfield"),
+], ids=["maxpot-discrete_mixture", "affine-gmm", "semidiscrete-two_ball",
+        "gmm_meanfield-std_normal"])
+def test_train_family_that_cannot_fit_the_target_exits_2(tmp_path, capsys, target, family):
+    out = os.path.join(tmp_path, "t")
+    cfg = write_config(tmp_path, {
+        "target": target, "map": {"family": family},
+        "train": {"max_iters": 2, "batch_size": 8}, "out_dir": out,
+    })
+    assert main(["train", "--config", cfg]) == EXIT_CONFIG
+    assert "map.family" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_unknown_experiment_exits_2(tmp_path):
     assert main([
         "experiment", "--name", "bogus", "--out-dir", str(tmp_path)

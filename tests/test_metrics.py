@@ -158,14 +158,13 @@ def test_w2_entropic_large_clouds_stay_float32():
     assert abs(big - ref) <= 1e-3 * abs(ref)
 
 
-@given(
+_LADDER_CASES = dict(
     n=hst.integers(20, 299), m=hst.integers(20, 299), d=hst.integers(1, 5),
     seed=hst.integers(0, 2**16), frac=hst.floats(0.005, 1.0),
 )
-def test_big_solver_matches_float64_where_a_cold_start_underflows(n, m, d, seed, frac):
-    # at eps = 0.005 x the median cost, C/eps reaches thousands, far past the
-    # -103 where float32 exp underflows; the epsilon ladder must carry the
-    # scaling iteration there
+
+
+def _check_big_solver_against_float64(n, m, d, seed, frac, omega):
     from otpost.metrics import _ot_entropic_big, _sqdist32
     from otpost.trainer import _ot_entropic
 
@@ -174,7 +173,75 @@ def test_big_solver_matches_float64_where_a_cold_start_underflows(n, m, d, seed,
     B = rg.standard_normal((m, d)) + 1.0
     C = _sqdist32(A, B)
     eps = frac * float(np.median(C))
-    big, viol = _ot_entropic_big(C, eps, 3000)
+    big, viol = _ot_entropic_big(C, eps, 3000, omega=omega)
     assert viol <= 1e-3
     ref = _ot_entropic(A, B, eps, iters=5000, tol=1e-9)[0]
     assert abs(big - ref) <= 2e-3 * abs(ref)
+
+
+@given(**_LADDER_CASES)
+def test_big_solver_matches_float64_where_a_cold_start_underflows(n, m, d, seed, frac):
+    # at eps = 0.005 x the median cost, C/eps reaches thousands, far past the
+    # -103 where float32 exp underflows; the epsilon ladder must carry the
+    # scaling iteration there
+    _check_big_solver_against_float64(n, m, d, seed, frac, omega=1.0)
+
+
+@given(**_LADDER_CASES)
+def test_relaxed_big_solver_matches_float64(n, m, d, seed, frac):
+    # the cross solve's configuration: an over-relaxed last level, reached
+    # cold (C.max()/eps <= 64) or through warm levels
+    from otpost.metrics import _OMEGA
+
+    _check_big_solver_against_float64(n, m, d, seed, frac, omega=_OMEGA)
+
+
+def test_relaxed_big_solver_falls_back_when_the_violation_grows():
+    # at omega = 2 the relaxed iteration keeps oscillating and its violation
+    # stays near 1; the first check that reads higher than the last one must
+    # switch the level to plain steps
+    from otpost.metrics import _ot_entropic_big, _sqdist32
+    from otpost.trainer import _ot_entropic
+
+    rg = stream(70, 0)
+    A = rg.standard_normal((200, 3))
+    B = rg.standard_normal((150, 3)) + 1.0
+    C = _sqdist32(A, B)
+    for frac in (0.05, 0.3, 1.0):
+        eps = frac * float(np.median(C))
+        big, viol = _ot_entropic_big(C, eps, 3000, omega=2.0)
+        assert viol <= 1e-3
+        ref = _ot_entropic(A, B, eps, iters=5000, tol=1e-9)[0]
+        assert abs(big - ref) <= 1e-5 * abs(ref)
+
+
+def test_relaxed_big_solver_on_far_clusters_stays_finite():
+    # every row sits about 60 eps from every column, so the first relaxed
+    # step would scale phi by about e^(1.7 x 55), past the float32 range
+    from otpost.metrics import _OMEGA, _ot_entropic_big, _sqdist32
+    from otpost.trainer import _ot_entropic
+
+    A = 0.05 * stream(68, 0).standard_normal((300, 2))
+    B = 0.05 * stream(68, 1).standard_normal((200, 2)) + np.array([7.5, 0.0])
+    C = _sqdist32(A, B)
+    eps = float(C.max()) / 63.0
+    big, viol = _ot_entropic_big(C, eps, 3000, omega=_OMEGA)
+    assert viol <= 1e-3
+    ref = _ot_entropic(A, B, eps, iters=5000, tol=1e-9)[0]
+    assert abs(big - ref) <= 1e-5 * abs(ref)
+
+
+def test_w2_entropic_large_clouds_with_tiny_debiased_value():
+    # two-ball clouds at the twoball criterion's eps 60, where the debiased
+    # S is about 1/20000 of each term: a relaxed cross solve that is absorbed
+    # without a final plain pair moves w2 by about 0.7%
+    from otpost.experiments import two_ball_spec
+    from otpost.refsampler import exact_mixture_sampler
+    from otpost.trainer import _ot_entropic
+
+    n, eps = 4000, 60.0
+    A = exact_mixture_sampler(two_ball_spec(), n, seed=3).data
+    B = A + 0.5 * stream(69, 0).standard_normal(A.shape)
+    terms = [_ot_entropic(X, Y, eps, iters=5000, tol=1e-9)[0] for X, Y in ((A, B), (A, A), (B, B))]
+    ref = np.sqrt(terms[0] - 0.5 * terms[1] - 0.5 * terms[2])
+    assert abs(w2_entropic(A, B, eps) - ref) <= 2e-3 * ref
