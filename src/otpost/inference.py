@@ -116,18 +116,17 @@ def sign_curves(map, n_per_axis: int) -> list[np.ndarray]:
     return curves
 
 
-def _value(U, gamma):
-    """max_k u_k where gamma is 0, else the logsumexp smoothing at gamma."""
-    f = U.max(axis=1)
-    soft = gamma > 0
-    if soft.any():
-        g, m = gamma[soft], f[soft]
-        f[soft] = m + np.log(np.sum(np.exp(g[:, None] * (U[soft] - m[:, None])), axis=1)) / g
-    return f
-
-
-def _dot(A, B):
-    return np.einsum("bp,bp->b", A, B)
+def _smoothed(U, G, gamma, X, Z):
+    """Per row, F = gamma^-1 log sum_k exp(gamma u_k) - <z, x>, its softmax
+    weights W (1 for one local) and the smoothed transport T = grad F + z."""
+    zx = np.einsum("bp,bp->b", Z, X)
+    if U.shape[1] == 1:
+        return U[:, 0] - zx, np.ones(U.shape), G[:, 0]
+    m = U.max(axis=1)
+    W = np.exp(gamma[:, None] * (U - m[:, None]))
+    s = W.sum(axis=1)
+    W /= s[:, None]
+    return m + np.log(s) / gamma - zx, W, np.einsum("bl,blp->bp", W, G)
 
 
 def _newton_steps(H, R):
@@ -143,93 +142,90 @@ def _newton_steps(H, R):
 def _solve(map, Z, tol=1e-8, max_steps=1000):
     """Preimages of the rows of Z: each minimizes max_k u_k(x) - <z, x>.
 
-    One iteration, vectorized over the rows still unsolved; solved rows leave
-    the batch. Convergence is judged on the hard residual ||T(x) - z||. Raises
-    NonConvergence with the worst residual of the rows left unsolved.
+    Damped Newton on the logsumexp smoothing F of that objective, vectorized
+    over the rows still unsolved; solved rows leave the batch. A row whose
+    step fails the Armijo test on F keeps its x and halves its step factor.
+    Its sharpness gamma grows tenfold from 100 once the smoothed gradient is
+    within 1% of the hard residual ||T(x) - z||, on which convergence is
+    judged, or the step factor falls below 1e-14. Raises NonConvergence with
+    the worst residual of the rows left unsolved or given up above 1e12.
     """
     if isinstance(map, AffineMap):
         return map.invert(Z)
     st = map.bank
     out = np.empty_like(Z)
-    rows = ar = np.arange(Z.shape[0])
+    rows = np.arange(Z.shape[0])
     X = np.zeros_like(Z)
+    gamma = np.full(rows.size, 100.0)
+    step = np.ones(rows.size)
     S = st.pre(X)  # each row's pass at x: pre-activations, local values, grads
     U = st.values(X, S)
     G = st.grads(X, S)
-    F = U.max(axis=1)  # objective at x = 0
-    gamma = np.zeros(rows.size)  # 0 while descending the hard potential
-    step = np.ones(rows.size)
+    F, W, T = _smoothed(U, G, gamma, X, Z)
     failed = []
     for k in range(max_steps + 1):
-        win = U.argmax(axis=1)
-        R = G[ar, win] - Z
-        res = np.linalg.norm(R, axis=1)
+        g = T - Z  # gradient of F; for one local, the hard residual
+        R = g if st.L == 1 else G[np.arange(rows.size), U.argmax(axis=1)] - Z
+        res = np.sqrt(np.einsum("bp,bp->b", R, R))
         solved = res <= tol
-        out[rows[solved]] = X[solved]
         gave_up = gamma > 1e12
-        failed.extend(res[gave_up])
-        keep = ~(solved | gave_up)
-        if not keep.all():
-            rows, X, Z, S, U, G, F, gamma, step, R, res, win = (
-                a[keep] for a in (rows, X, Z, S, U, G, F, gamma, step, R, res, win)
+        done = solved | gave_up
+        if done.any():
+            out[rows[solved]] = X[solved]
+            failed.extend(res[gave_up])
+            keep = ~done
+            rows, X, Z, S, U, G, F, W, T, g, gamma, step, res = (
+                a[keep] for a in (rows, X, Z, S, U, G, F, W, T, g, gamma, step, res)
             )
-            ar = ar[: rows.size]
         if k == max_steps or not rows.size:
             failed.extend(res)
             break
 
-        # Newton step on the active cell, taken when it halves the hard
-        # residual. The cell Hessian is the exact second derivative away from
-        # kinks and fixes the slow crawl where saturated units leave the
-        # potential nearly flat. Its pass becomes the next iterate's.
-        Xn = X - _newton_steps(st.hessians(X, S)[ar, win], R)
+        sharpen = step < 1e-14
+        if st.L > 1:
+            sharpen |= np.einsum("bp,bp->b", g, g) <= 1e-4 * res * res
+        if sharpen.any():
+            gamma[sharpen] *= 10.0
+            step[sharpen] = 1.0
+            F, W, T = _smoothed(U, G, gamma, X, Z)
+            g = T - Z
+        # Hessian of F: sum_k W_k H_k + gamma sum_k W_k (grad u_k - T)(grad u_k - T)^T
+        H = st.hessians(X, S)
+        if st.L == 1:
+            H = H[:, 0]
+        else:
+            D = G - T[:, None, :]
+            H = np.einsum("bl,blpq->bpq", W, H) + gamma[:, None, None] * np.einsum(
+                "blp,blq->bpq", W[:, :, None] * D, D
+            )
+        # The Newton step x - t d, or the gradient step where rounding makes
+        # -d non-descent; t caps the step at 10 per coordinate, because
+        # saturated units leave the Hessian nearly singular.
+        d = _newton_steps(H, g)
+        slope = np.einsum("bp,bp->b", g, d)
+        if not (slope > 0).all():
+            flat = ~(slope > 0)
+            d[flat] = g[flat]
+            slope[flat] = np.einsum("bp,bp->b", g[flat], g[flat])
+        t = step
+        if np.abs(d).max() > 10.0:
+            t = step * 10.0 / np.maximum(np.abs(d).max(axis=1), 10.0)
+        Xn = X - t[:, None] * d
         Sn = st.pre(Xn)
         Un = st.values(Xn, Sn)
         Gn = st.grads(Xn, Sn)
-        newton = np.linalg.norm(Gn[ar, Un.argmax(axis=1)] - Z, axis=1) <= 0.5 * res
-        if newton.all():
-            X, S, U, G = Xn, Sn, Un, Gn
-            F = _value(U, gamma) - _dot(Z, X)
+        Fn, Wn, Tn = _smoothed(Un, Gn, gamma, Xn, Z)
+        ok = Fn <= F - 0.25 * t * slope  # Armijo
+        if ok.all():
+            X, S, U, G, F, W, T = Xn, Sn, Un, Gn, Fn, Wn, Tn
+            step = np.minimum(2.0 * step, 1.0)
             continue
-        for A, An in ((X, Xn), (S, Sn), (U, Un), (G, Gn)):
-            A[newton] = An[newton]
-        F[newton] = _value(U[newton], gamma[newton]) - _dot(Z[newton], X[newton])
-
-        # Otherwise Armijo backtracking: on the hard potential, or, once a
-        # row has stalled at a kink between local potentials (where the cell
-        # subgradient need not be a descent direction), on the logsumexp
-        # smoothing, whose gradient is the softmax-weighted transport.
-        j = np.flatnonzero(~newton)
-        Xj, Zj, fx, gj, t, D = X[j], Z[j], F[j], gamma[j], step[j], R[j]
-        soft = gj > 0
-        if soft.any():
-            W = np.exp(gj[soft, None] * (U[j[soft]] - U[j[soft]].max(axis=1, keepdims=True)))
-            W /= W.sum(axis=1, keepdims=True)
-            D[soft] = np.einsum("bl,blp->bp", W, G[j[soft]]) - Zj[soft]
-        d = np.linalg.norm(D, axis=1)
-        Ft = fx.copy()
-        todo = np.arange(j.size)
-        while todo.size:
-            Xi = Xj[todo] - t[todo, None] * D[todo]
-            Fi = _value(st.values(Xi), gj[todo]) - _dot(Zj[todo], Xi)
-            ok = (Fi <= fx[todo] - 0.5 * t[todo] * d[todo] ** 2) | (t[todo] < 1e-14)
-            Ft[todo[ok]] = Fi[ok]
-            t[todo[~ok]] *= 0.5
-            todo = todo[~ok]
-        # A stall, or a solve of the smoothed problem, sharpens the row's
-        # gamma tenfold, starting at 100; the row gives up above 1e12.
-        sharpen = (t < 1e-14) | (soft & (d <= np.maximum(tol, 0.01 * res[j])))
-        mv, m = j[~sharpen], ~sharpen
-        X[mv] = Xj[m] - t[m, None] * D[m]
-        S[mv] = st.pre(X[mv])
-        U[mv] = st.values(X[mv], S[mv])
-        G[mv] = st.grads(X[mv], S[mv])
-        F[mv] = Ft[m]
-        step[mv] = np.minimum(t[m] * 2.0, 1e6)
-        sh = j[sharpen]
-        gamma[sh] = np.where(gamma[sh] > 0, gamma[sh] * 10.0, 100.0)
-        F[sh] = _value(U[sh], gamma[sh]) - _dot(Z[sh], X[sh])
-        step[sh] = 1.0
+        # a predicted decrease below the rounding of F counts as met
+        noise = 1e-14 * (np.abs(Un).max(axis=1) + np.abs(np.einsum("bp,bp->b", Z, Xn)))
+        ok = Fn <= F - 0.25 * t * slope + noise
+        for A, An in ((X, Xn), (S, Sn), (U, Un), (G, Gn), (F, Fn), (W, Wn), (T, Tn)):
+            A[ok] = An[ok]
+        step = np.where(ok, np.minimum(2.0 * step, 1.0), 0.5 * step)
     if failed:
         raise NonConvergence(float(max(failed)), max_steps)
     return out
@@ -237,8 +233,8 @@ def _solve(map, Z, tol=1e-8, max_steps=1000):
 
 def inverse(map, z, tol: float = 1e-8, max_steps: int = 1000):
     """Preimage of z under the hard transport map: the minimizer of the convex
-    max_k u_k(x) - <z, x>, by active-cell Newton steps, Armijo backtracking
-    and, at kinks, a logsumexp homotopy.
+    max_k u_k(x) - <z, x>, by damped Newton steps on its logsumexp smoothing
+    at a sharpness that grows until the hard residual meets tol.
 
     Converges when the transport residual ||T(x) - z|| drops below tol;
     otherwise raises NonConvergence with the residual. Affine maps are

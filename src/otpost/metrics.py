@@ -28,15 +28,19 @@ __all__ = [
 W2_EXACT_CAP = 4096
 
 
-def _cloud(A) -> np.ndarray:
-    if isinstance(A, SampleMatrix):
-        return A.data
-    return np.atleast_2d(np.asarray(A, dtype=float))
+def _cloud(A, name) -> np.ndarray:
+    """The points of cloud ``name`` as a 2-D float array; a NaN or inf point
+    raises ValueError, since every distance to it would be NaN."""
+    X = A.data if isinstance(A, SampleMatrix) else np.atleast_2d(np.asarray(A, dtype=float))
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise ValueError(f"cloud {name} has a non-finite point (row {int(np.argmax(bad))})")
+    return X
 
 
 def w2_exact(A, B) -> float:
     """Exact 2-Wasserstein distance between equal-size point clouds."""
-    A, B = _cloud(A), _cloud(B)
+    A, B = _cloud(A, "A"), _cloud(B, "B")
     if A.shape != B.shape:
         raise ValueError("clouds must have equal size and dimension")
     n = A.shape[0]
@@ -186,7 +190,7 @@ def w2_entropic(A, B, epsilon: float, iters: int = 5000, tol: float = 1e-6) -> f
     plain: they meet tol within a few dozen plain iterations, and at 1.7
     they stop further from the converged value.
     """
-    A, B = _cloud(A), _cloud(B)
+    A, B = _cloud(A, "A"), _cloud(B, "B")
     if A.shape[1] != B.shape[1]:
         raise ValueError("dimension mismatch")
     if epsilon <= 0:
@@ -208,7 +212,7 @@ def w2_entropic(A, B, epsilon: float, iters: int = 5000, tol: float = 1e-6) -> f
     pairs = ((A, B, _OMEGA), (A, A, 1.0), (B, B, 1.0))
     (v_ab, v_aa, v_bb), viols = zip(*(solve(*pair) for pair in pairs))
     worst = max(viols)
-    if worst > tol:
+    if not worst <= tol:
         raise SinkhornNonConvergence(worst)
     value = v_ab - 0.5 * v_aa - 0.5 * v_bb
     return float(np.sqrt(max(value, 0.0)))
@@ -250,7 +254,7 @@ def standardized_w2(A, B, scales, joint: bool = False) -> float:
     Default: 1-D sorted-coupling W2 per coordinate, averaged. With
     ``joint=True``: exact W2 on the jointly standardized clouds instead.
     """
-    A, B = _cloud(A), _cloud(B)
+    A, B = _cloud(A, "A"), _cloud(B, "B")
     scales = np.asarray(scales, dtype=float)
     if np.any(scales <= 0):
         raise ValueError("scales must be strictly positive")

@@ -16,6 +16,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+# smooth_batch and smooth_param_grads are unused here; perfbench/tracing.py
+# lists trainer among their namespaces, and its contract test resolves them
 from .potential import (  # noqa: F401 (smooth_batch, smooth_param_grads)
     AffineMap,
     MaxPotentialMap,

@@ -393,6 +393,28 @@ def test_metrics_input_error_exits_2_and_writes_nothing(tmp_path, capsys, metric
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("metric, extra", [
+    ("w2", []), ("w2eps", ["--epsilon", "1.0"]), ("stdw2", []),
+])
+def test_metrics_non_finite_point_exits_2_and_writes_nothing(tmp_path, capsys, metric, extra):
+    from otpost.samples import SampleMatrix
+
+    rg = np.random.default_rng(0)
+    a, b = os.path.join(tmp_path, "a.csv"), os.path.join(tmp_path, "b.csv")
+    SampleMatrix.continuous(rg.standard_normal((20, 2))).to_csv(a)
+    B = rg.standard_normal((20, 2))
+    B[7, 0] = np.nan
+    SampleMatrix.continuous(B).to_csv(b)
+    out = os.path.join(tmp_path, "m.json")
+    capsys.readouterr()
+    argv = ["metrics", "--metric", metric, "--a", a, "--b", b, "--out", out, *extra]
+    assert exit_code(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "cloud B has a non-finite point (row 7)" in captured.err
+    assert captured.out == ""
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("target, family", [
     ({"kind": "discrete_mixture", "params": _DISCRETE}, "maxpot"),
     ({"kind": "gmm"}, "affine"),

@@ -1,6 +1,7 @@
 """Sampling, quantile contours, inversion, ranks, credible regions."""
 
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from otpost.inference import (
     simultaneous_ci,
 )
 from otpost.experiments import random_maxpot_map
-from otpost.potential import AffineMap, transport_hard
+from otpost.potential import Activation, AffineMap, PotentialBank, map_from_json, transport_hard
 from otpost.rng import stream
 from tests.conftest import peak_traced_bytes
 from tests.test_potential import random_map
@@ -171,6 +172,54 @@ def test_inverse_round_trip_residual_within_tol_on_l3_maps(p, seed, points_seed,
     mp, Z = l3_problem(p, seed, points_seed)
     Xb = inverse_many(mp, Z, tol=tol)
     assert np.max(np.linalg.norm(transport_hard(mp, Xb)[0] - Z, axis=1)) <= tol
+
+
+def test_inverse_solves_every_pushed_point_of_a_trained_l3_map():
+    # the mixture(5,3) map fitted with seed 1 (3 locals of 16 tanh units, 16
+    # Sinkhorn steps, 500 iterations), then rebalanced; residual-halving
+    # Newton steps left 9 of these 300 points unsolved
+    with open(os.path.join(os.path.dirname(__file__), "data", "trained_mixture_l3_map.json")) as fh:
+        mp = map_from_json(fh.read())
+    X = np.random.default_rng(2).standard_normal((300, 5))
+    Z = transport_hard(mp, X)[0]
+    assert np.max(np.abs(inverse_many(mp, Z) - X)) <= 1e-6
+    assert max(np.max(np.abs(inverse(mp, z) - x)) for z, x in zip(Z, X)) <= 1e-6
+
+
+@pytest.mark.parametrize("L, seed, activation", [
+    (3, 0, Activation.TANH), (1, 44, Activation.SQNL), (5, 50, Activation.SQNL),
+    (1, 53, Activation.SQNL),
+])
+def test_inverse_solves_far_pushed_points_of_random_maps(L, seed, activation):
+    # saturated SQNL units make the preimage non-unique, so the residual is checked
+    mp = random_maxpot_map(L, 16, 10, seed, activation=activation)
+    Z = transport_hard(mp, 3 * np.random.default_rng(seed).standard_normal((100, 10)))[0]
+    Xb = inverse_many(mp, Z)
+    Xs = np.array([inverse(mp, z) for z in Z])
+    for X in (Xb, Xs):
+        assert np.max(np.linalg.norm(transport_hard(mp, X)[0] - Z, axis=1)) <= 1e-8
+
+
+def test_rank_on_a_one_local_map_runs_one_pass_per_newton_step(monkeypatch):
+    mp = random_maxpot_map(1, 32, 10, 0, activation=Activation.SOFTSIGN)
+    Z = transport_hard(mp, stream(57, 0).standard_normal((100, 10)))[0]
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("pre", "values", "grads", "hessians"):
+        monkeypatch.setattr(PotentialBank, name, counted(name, getattr(PotentialBank, name)))
+    for z in Z:
+        rank(mp, z)
+    # each call makes one pass at x = 0 and one per step, and a Hessian per
+    # step; the residual-halving solver made 541 passes and 441 Hessians here
+    assert calls["pre"] == calls["values"] == calls["grads"] == calls["hessians"] + 100
+    assert calls["pre"] <= 541
 
 
 # ---------------------------------------------------------------------------

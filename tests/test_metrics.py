@@ -86,6 +86,24 @@ def test_w2_entropic_input_validation():
         w2_entropic(A, A + 1.0, epsilon=1.0, iters=0)
 
 
+# 50 points a side take the float64 solver, 2,100 the float32 one
+@pytest.mark.parametrize("n, value, cloud", [(50, np.nan, "B"), (2100, np.inf, "A")],
+                         ids=["float64-nan", "float32-inf"])
+def test_non_finite_cloud_raises_naming_the_cloud(n, value, cloud):
+    rg = np.random.default_rng(0)
+    clouds = {"A": rg.standard_normal((n, 3)), "B": rg.standard_normal((n, 3))}
+    clouds[cloud][n // 2, 1] = value
+    A, B = clouds["A"], clouds["B"]
+    match = f"cloud {cloud} has a non-finite point \\(row {n // 2}\\)"
+    with pytest.raises(ValueError, match=match):
+        w2_entropic(A, B, epsilon=1.0)
+    with pytest.raises(ValueError, match=match):
+        standardized_w2(A, B, np.ones(3))
+    if n <= W2_EXACT_CAP:
+        with pytest.raises(ValueError, match=match):
+            w2_exact(A, B)
+
+
 def test_tv_latent_oracle():
     assert tv_latent([1, 0], [0, 1]) == 1.0
     assert tv_latent([2, 2], [5, 5]) == 0.0
