@@ -302,6 +302,8 @@ def cmd_invert(args):
         theta0 = [float(t) for t in args.theta0.split(",")]
     except ValueError:
         raise ConfigError(f"--theta0 {args.theta0!r}: not comma-separated numbers")
+    if not all(math.isfinite(t) for t in theta0):
+        raise ConfigError(f"--theta0 {args.theta0!r}: every coordinate must be finite")
     if len(theta0) != mp.dim:
         raise ConfigError(
             f"--theta0 has {len(theta0)} coordinates, map expects {mp.dim}"

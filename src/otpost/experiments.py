@@ -69,8 +69,7 @@ def marginal_ci(draws, level: float = 0.95):
     """Equal-tailed interval per column of a draw matrix."""
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
     alpha = (1.0 - level) / 2.0
-    lo = np.quantile(draws, alpha, axis=0)
-    hi = np.quantile(draws, 1.0 - alpha, axis=0)
+    lo, hi = np.quantile(draws, [alpha, 1.0 - alpha], axis=0)
     return list(zip(lo.tolist(), hi.tolist()))
 
 

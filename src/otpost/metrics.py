@@ -1,7 +1,12 @@
 """Sample-based evaluation metrics.
 
 w2_exact solves the assignment problem exactly and is capped at 4,096
-points; w2_entropic is the debiased Sinkhorn surrogate for larger clouds
+points. Its solver starts from duals that eight float32 Sinkhorn
+iterations (the same ``_ot_entropic_big`` as w2_entropic) give for the
+reduced costs; shifting rows and columns by any duals leaves the optimal
+permutations unchanged, so the value stays exact and about half the
+solver's time goes. The warm start holds 8 n^2 bytes besides the cost
+matrix. w2_entropic is the debiased Sinkhorn surrogate for larger clouds
 (slight upward bias at finite epsilon). The remaining metrics are direct
 formulas on histograms, intervals and standardized coordinates.
 """
@@ -39,7 +44,19 @@ def _cloud(A, name) -> np.ndarray:
 
 
 def w2_exact(A, B) -> float:
-    """Exact 2-Wasserstein distance between equal-size point clouds."""
+    """Exact 2-Wasserstein distance between equal-size point clouds.
+
+    The optimal assignment of the squared-distance matrix C is found by
+    scipy's shortest augmenting path solver, started from entropic duals:
+    it runs on C - a - b, with row and column shifts a, b from
+    ``_assignment_shifts``. Every permutation's total cost moves by the same
+    sum(a) + sum(b), so the optimal permutations are those of C and the
+    value is exact; the shifts only shorten the search (about 2x at 1000
+    points). The value is the mean of the assigned entries of C itself.
+    Besides C (8 n^2 bytes) the call holds at most 8 n^2 bytes more: the
+    float32 reduced costs and the Sinkhorn buffer during the warm start,
+    then the shifted float64 costs (8 MB at n = 1000, 134 MB at the cap).
+    """
     A, B = _cloud(A, "A"), _cloud(B, "B")
     if A.shape != B.shape:
         raise ValueError("clouds must have equal size and dimension")
@@ -51,8 +68,39 @@ def w2_exact(A, B) -> float:
         )
     C = _sq_dists(A, B)
     np.maximum(C, 0.0, out=C)
-    rows, cols = linear_sum_assignment(C)
+    a, b = _assignment_shifts(C)
+    shifted = np.subtract(C, a[:, None])
+    shifted -= b
+    rows, cols = linear_sum_assignment(shifted)
     return float(np.sqrt(C[rows, cols].mean()))
+
+
+def _assignment_shifts(C):
+    """Row and column shifts a, b that make C - a - b a warm start for the
+    assignment solver.
+
+    C is reduced by its row minima u and then by the column minima v of
+    the result, into a float32 copy R. Eight plain iterations of
+    ``_ot_entropic_big`` on R at eps = mean(R)/20 give duals f, g with
+    R - f - g near zero on the entries that an optimal assignment uses;
+    the shifts are a = u + f, b = v + g. When every reduced cost is 0 (all
+    costs equal), or R cannot be held as normal float32 numbers, the
+    shifts are the reductions alone.
+    """
+    u = C.min(axis=1)
+    f32 = np.finfo(np.float32)
+    if not C.max() < f32.max:
+        return u, np.zeros(C.shape[1])
+    R = np.empty(C.shape, dtype=np.float32)
+    np.subtract(C, u[:, None], out=R)
+    v = R.min(axis=0)
+    R -= v
+    v = v.astype(float)
+    eps = R.mean(dtype=np.float64) / 20.0
+    if not eps > f32.tiny:
+        return u, v
+    _, _, f, g = _ot_entropic_big(R, eps, 8)
+    return u + f, v + g
 
 
 _BIG_ENTRIES = 4_000_000
@@ -73,7 +121,9 @@ def _sqdist32(A, B):
 def _ot_entropic_big(C, epsilon, iters, tol=1e-3, omega=1.0):
     """Sinkhorn on a float32 cost matrix with epsilon scaling, all in float32.
 
-    The duals, the scalings, the kernel and every temporary are float32;
+    Returns (value, l1 violation, f, g), with the float32 duals f and g;
+    w2_entropic reads the first two, w2_exact's warm start the duals. The
+    duals, the scalings, the kernel and every temporary are float32;
     only the returned value is averaged in float64. Besides C the solver
     holds one n x m float32 buffer, so a solve needs about two n x m
     float32 arrays (8 n m bytes).
@@ -161,7 +211,7 @@ def _ot_entropic_big(C, epsilon, iters, tol=1e-3, omega=1.0):
             viol = _violation(phi, Kpsi)
         _absorb(phi, psi)
     value = f.mean(dtype=np.float64) + g.mean(dtype=np.float64)
-    return float(value), float(viol)
+    return float(value), float(viol), f, g
 
 
 def _relax(old, new, w):
@@ -202,7 +252,7 @@ def w2_entropic(A, B, epsilon: float, iters: int = 5000, tol: float = 1e-6) -> f
 
         def solve(X, Y, omega):
             C = _sqdist32(X, Y)
-            return _ot_entropic_big(C, epsilon, min(iters, 3000), tol, omega)
+            return _ot_entropic_big(C, epsilon, min(iters, 3000), tol, omega)[:2]
     else:
 
         def solve(X, Y, omega):

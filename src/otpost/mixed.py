@@ -22,6 +22,8 @@ from .potential import (
     Activation,
     PotentialBank,
     SingularJacobian,
+    _check_declared,
+    _finite,
     activation_deriv,
     chol_inverse,
     logdet_spd,
@@ -473,29 +475,31 @@ def mixed_map_to_json(map) -> str:
 
 
 def mixed_map_from_json(text: str):
+    """Map from a mixed_map_to_json document. Every array and scalar must
+    be finite, and a gmm file's n_obs, K and d must match its potentials;
+    otherwise ValueError names the field."""
     doc = json.loads(text)
     if doc.get("version") != MAP_FORMAT_VERSION:
         raise ValueError(f"unsupported map format version {doc.get('version')!r}")
     family = doc.get("family")
+    if family not in ("semidiscrete", "gmm_meanfield"):
+        raise ValueError(f"unknown mixed map family {family!r}")
+    kappa = float(_finite(doc["kappa"], "kappa"))
     if family == "semidiscrete":
         emb = Embedding(
             kind=doc["embedding"]["kind"],
-            vectors=np.array(doc["embedding"]["vectors"], dtype=float),
+            vectors=_finite(doc["embedding"]["vectors"], "embedding.vectors"),
         )
-        return SemiDiscreteMap(
-            embedding=emb,
-            bank=PotentialBank.from_docs(doc["phis"]),
-            kappa=float(doc["kappa"]),
-        )
-    if family == "gmm_meanfield":
-        return MeanFieldGmmMap(
-            n_obs=int(doc["n_obs"]),
-            K=int(doc["K"]),
-            d=int(doc["d"]),
-            bank=PotentialBank.from_docs([lp for row in doc["phis"] for lp in row]),
-            kappa=float(doc["kappa"]),
-        )
-    raise ValueError(f"unknown mixed map family {family!r}")
+        return SemiDiscreteMap(embedding=emb, bank=PotentialBank.from_docs(doc["phis"]), kappa=kappa)
+    phis = doc["phis"]
+    _check_declared(doc, "n_obs", len(phis))
+    for row in phis:
+        _check_declared(doc, "K", len(row))
+    bank = PotentialBank.from_docs([lp for row in phis for lp in row])
+    K, d = int(doc["K"]), int(doc["d"])
+    if bank.p != K * d:
+        raise ValueError(f"d is declared {doc['d']!r}, but the potentials act on R^{bank.p}, not R^(K d)")
+    return MeanFieldGmmMap(n_obs=int(doc["n_obs"]), K=K, d=d, bank=bank, kappa=kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,7 @@ class PotentialBank:
         if len({len(row) for row in units}) != 1:
             raise ValueError("all local potentials must have the same number of units")
         alpha, beta, w, v = (
-            np.array([[u[key] for u in row] for row in units], dtype=float)
+            _finite(np.array([[u[key] for u in row] for row in units], dtype=float), key)
             for key in ("alpha", "beta", "w", "v")
         )
         return cls(alpha, beta, w, v, Activation(acts.pop()))
@@ -615,19 +615,40 @@ def map_to_json(map) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _finite(value, field):
+    """``value`` as a float array; a NaN or inf entry raises ValueError
+    naming ``field``, the map file's key for it."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{field} has a non-finite entry")
+    return arr
+
+
+def _check_declared(doc, field, actual):
+    """A size that a map file declares must be the one its arrays give."""
+    if field in doc and doc[field] != actual:
+        raise ValueError(f"{field} is declared {doc[field]!r}, but the arrays give {actual}")
+
+
 def map_from_json(text: str):
+    """Map from a map_to_json document. Every array and scalar must be
+    finite, and the declared p (and L) must match the arrays; otherwise
+    ValueError names the field."""
     doc = json.loads(text)
     if doc.get("version") != MAP_FORMAT_VERSION:
         raise ValueError(f"unsupported map format version {doc.get('version')!r}")
     family = doc.get("family", "maxpot")
     if family == "affine":
-        return AffineMap(
-            m=np.array(doc["m"], dtype=float),
-            chol_factor=np.array(doc["chol_factor"], dtype=float),
+        mp = AffineMap(
+            m=_finite(doc["m"], "m"),
+            chol_factor=_finite(doc["chol_factor"], "chol_factor"),
             n_scale=int(doc["n_scale"]),
         )
+        _check_declared(doc, "p", mp.dim)
+        return mp
     if family != "maxpot":
         raise ValueError(f"unknown map family {family!r}")
-    return MaxPotentialMap(
-        PotentialBank.from_docs(doc["locals"]), gamma_sharp=float(doc["gamma_sharp"])
-    )
+    bank = PotentialBank.from_docs(doc["locals"])
+    _check_declared(doc, "p", bank.p)
+    _check_declared(doc, "L", bank.L)
+    return MaxPotentialMap(bank, gamma_sharp=float(_finite(doc["gamma_sharp"], "gamma_sharp")))

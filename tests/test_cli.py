@@ -537,3 +537,70 @@ def test_sample_map_not_json_exits_2(tmp_path, capsys):
     assert main(["sample", "--map", path, "--n", "5", "--out", os.path.join(tmp_path, "s.csv")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert path in err and "invalid JSON" in err
+
+
+def _data_doc(family):
+    with open(os.path.join(os.path.dirname(__file__), "data", f"map_v1_{family}.json")) as fh:
+        return json.load(fh)
+
+
+def _affine_doc():
+    return {"version": 1, "family": "affine", "p": 2, "m": [0.5, -1.0],
+            "chol_factor": [[1.0, 0.0], [0.3, 2.0]], "n_scale": 1}
+
+
+def _set(path, value):
+    """A corruption that sets the entry at ``path`` (keys and indices)."""
+    def corrupt(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return corrupt
+
+
+_UNIT = ("units", 1)
+
+
+@pytest.mark.parametrize("family, corrupt, message", [
+    ("maxpot", _set(("locals", 0) + _UNIT + ("alpha", 1), float("nan")), "alpha has a non-finite entry"),
+    ("maxpot", _set(("locals", 2) + _UNIT + ("v",), float("inf")), "v has a non-finite entry"),
+    ("maxpot", _set(("gamma_sharp",), float("inf")), "gamma_sharp has a non-finite entry"),
+    ("maxpot", _set(("p",), 7), "p is declared 7, but the arrays give 2"),
+    ("maxpot", _set(("L",), 9), "L is declared 9, but the arrays give 3"),
+    ("affine", _set(("m", 0), float("nan")), "m has a non-finite entry"),
+    ("affine", _set(("chol_factor", 1, 0), float("-inf")), "chol_factor has a non-finite entry"),
+    ("affine", _set(("p",), 3), "p is declared 3, but the arrays give 2"),
+    ("semidiscrete", _set(("phis", 1) + _UNIT + ("beta", 0), float("nan")), "beta has a non-finite entry"),
+    ("semidiscrete", _set(("embedding", "vectors", 0, 0), float("nan")), "embedding.vectors has a non-finite entry"),
+    ("semidiscrete", _set(("kappa",), float("inf")), "kappa has a non-finite entry"),
+    ("gmm_meanfield", _set(("phis", 1, 0) + _UNIT + ("w",), float("nan")), "w has a non-finite entry"),
+    ("gmm_meanfield", _set(("n_obs",), 3), "n_obs is declared 3, but the arrays give 2"),
+    ("gmm_meanfield", _set(("K",), 1), "K is declared 1, but the arrays give 2"),
+    ("gmm_meanfield", _set(("d",), 2), "d is declared 2, but the potentials act on R^2"),
+])
+def test_sample_map_with_non_finite_or_misdeclared_field_exits_2(tmp_path, capsys, family, corrupt, message):
+    doc = _affine_doc() if family == "affine" else _data_doc(family)
+    corrupt(doc)
+    path = write_config(tmp_path, doc, name="map.json")
+    out = os.path.join(tmp_path, "s.csv")
+    assert main(["sample", "--map", path, "--n", "5", "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert path in err and message in err
+    assert not os.path.exists(out)
+
+
+def test_sample_valid_affine_map_file_loads(tmp_path):
+    path = write_config(tmp_path, _affine_doc(), name="map.json")
+    out = os.path.join(tmp_path, "s.csv")
+    assert main(["sample", "--map", path, "--n", "5", "--out", out]) == EXIT_OK
+    assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("theta0", ["nan,0", "inf,0", "0,-inf"])
+def test_invert_non_finite_theta0_exits_2(tmp_path, capsys, theta0):
+    path = write_config(tmp_path, _data_doc("maxpot"), name="map.json")
+    out = os.path.join(tmp_path, "inv.json")
+    assert main(["invert", "--map", path, "--theta0", theta0, "--out", out]) == EXIT_CONFIG
+    assert "--theta0" in capsys.readouterr().err
+    assert not os.path.exists(out)

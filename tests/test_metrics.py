@@ -5,7 +5,8 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from scipy.optimize import linear_sum_assignment
+from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from otpost.metrics import (
@@ -18,7 +19,7 @@ from otpost.metrics import (
     w2_exact,
 )
 from otpost.rng import stream
-from otpost.trainer import SinkhornNonConvergence
+from otpost.trainer import SinkhornNonConvergence, _sq_dists
 from tests.conftest import peak_traced_bytes
 
 
@@ -52,6 +53,54 @@ def test_w2_exact_cap():
         w2_exact(A, A)
     with pytest.raises(ValueError):
         w2_exact(np.zeros((3, 2)), np.zeros((4, 2)))
+
+
+def cold_w2_exact(A, B):
+    """The assignment on the raw squared-distance matrix, from zero duals."""
+    C = _sq_dists(A, B)
+    np.maximum(C, 0.0, out=C)
+    rows, cols = linear_sum_assignment(C)
+    return float(np.sqrt(C[rows, cols].mean()))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60)
+@given(n=hst.integers(1, 300), d=hst.integers(1, 10), seed=hst.integers(0, 2**16),
+       duplicated=hst.booleans(), integer=hst.booleans(),
+       shift=hst.sampled_from([0.0, 1.0, 1e3, 1e5]))
+def test_w2_exact_warm_start_keeps_the_cold_value(n, d, seed, duplicated, integer, shift):
+    # the entropic duals only move where the assignment search starts: every
+    # permutation's cost moves by the same amount, so the value is the cold one
+    rg = stream(seed, 69)
+    A = rg.standard_normal((n, d))
+    B = rg.standard_normal((n, d))
+    if duplicated:
+        A[n // 2:] = A[: n - n // 2]
+        B[: n // 3] = A[: n // 3]
+    if integer:
+        A, B = np.round(2 * A), np.round(2 * B)
+    B[:, 0] += shift
+    ref = cold_w2_exact(A, B)
+    assert abs(w2_exact(A, B) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", ["coincident", "one point", "scale 1e-8", "scale 1e8",
+                                  "scale 1e-23", "scale 1e20"])
+def test_w2_exact_warm_start_edge_cases(case):
+    rg = stream(71, 0)
+    # at scale 1e-23 eps is below the float32 normal range, at 1e20 the costs
+    # overflow float32: both keep the row and column reductions alone
+    if case == "coincident":  # every cost equal, so every reduced cost is 0
+        A = np.tile([0.3, -1.7], (40, 1))
+        B = A.copy()
+    elif case == "one point":
+        A, B = rg.standard_normal((1, 3)), rg.standard_normal((1, 3))
+    else:
+        scale = float(case.split()[1])
+        A, B = scale * rg.standard_normal((200, 4)), scale * rg.standard_normal((200, 4))
+    ref = cold_w2_exact(A, B)
+    assert abs(w2_exact(A, B) - ref) <= 1e-12 * ref
 
 
 def test_w2_entropic_close_to_exact_at_small_epsilon():
@@ -170,7 +219,7 @@ def test_w2_entropic_large_clouds_stay_float32():
     assert peak_traced_bytes(w2_entropic, A, B, 1.0) <= 2.5 * 4 * n * n
     C = _sqdist32(A, B)
     assert C.dtype == np.float32
-    big, viol = _ot_entropic_big(C, 1.0, iters=3000)
+    big, viol, _, _ = _ot_entropic_big(C, 1.0, iters=3000)
     assert viol <= 1e-3
     ref = _ot_entropic(A, B, 1.0, iters=200, tol=1e-7)[0]
     assert abs(big - ref) <= 1e-3 * abs(ref)
@@ -191,7 +240,7 @@ def _check_big_solver_against_float64(n, m, d, seed, frac, omega):
     B = rg.standard_normal((m, d)) + 1.0
     C = _sqdist32(A, B)
     eps = frac * float(np.median(C))
-    big, viol = _ot_entropic_big(C, eps, 3000, omega=omega)
+    big, viol, _, _ = _ot_entropic_big(C, eps, 3000, omega=omega)
     assert viol <= 1e-3
     ref = _ot_entropic(A, B, eps, iters=5000, tol=1e-9)[0]
     assert abs(big - ref) <= 2e-3 * abs(ref)
@@ -227,7 +276,7 @@ def test_relaxed_big_solver_falls_back_when_the_violation_grows():
     C = _sqdist32(A, B)
     for frac in (0.05, 0.3, 1.0):
         eps = frac * float(np.median(C))
-        big, viol = _ot_entropic_big(C, eps, 3000, omega=2.0)
+        big, viol, _, _ = _ot_entropic_big(C, eps, 3000, omega=2.0)
         assert viol <= 1e-3
         ref = _ot_entropic(A, B, eps, iters=5000, tol=1e-9)[0]
         assert abs(big - ref) <= 1e-5 * abs(ref)
@@ -243,7 +292,7 @@ def test_relaxed_big_solver_on_far_clusters_stays_finite():
     B = 0.05 * stream(68, 1).standard_normal((200, 2)) + np.array([7.5, 0.0])
     C = _sqdist32(A, B)
     eps = float(C.max()) / 63.0
-    big, viol = _ot_entropic_big(C, eps, 3000, omega=_OMEGA)
+    big, viol, _, _ = _ot_entropic_big(C, eps, 3000, omega=_OMEGA)
     assert viol <= 1e-3
     ref = _ot_entropic(A, B, eps, iters=5000, tol=1e-9)[0]
     assert abs(big - ref) <= 1e-5 * abs(ref)

@@ -78,6 +78,16 @@ def test_marginal_ci_quantile_oracle():
     assert abs(hi - 0.95) <= 1e-3
 
 
+@pytest.mark.parametrize("level", [0.95, 0.9, 0.5])
+def test_marginal_ci_equals_two_quantile_calls_bit_for_bit(level):
+    draws = stream(81, 0).standard_normal((2001, 4)) * [1.0, 1e-6, 3e4, 1.0]
+    draws[::7, 3] = 0.5  # ties
+    alpha = (1.0 - level) / 2.0
+    lo = np.quantile(draws, alpha, axis=0)
+    hi = np.quantile(draws, 1.0 - alpha, axis=0)
+    assert marginal_ci(draws, level) == list(zip(lo.tolist(), hi.tolist()))
+
+
 def test_svg_overlay_valid_xml_and_counts(tmp_path):
     rg = stream(80, 0)
     pts = rg.standard_normal((40, 2))
