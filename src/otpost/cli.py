@@ -55,6 +55,9 @@ def _load_config(path):
         raise ConfigError(f"{path}: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}")
+    bad = _non_finite_field(cfg, "")
+    if bad is not None:
+        raise ConfigError(f"{path}: {bad}: not a finite number")
     with open(_SCHEMA_PATH) as fh:
         schema = json.load(fh)
     validator = jsonschema.Draft202012Validator(schema)
@@ -66,20 +69,34 @@ def _load_config(path):
     return cfg
 
 
-def _read_logistic_csv(path):
-    """CSV with a header row; the label column is named y, all other
-    columns are numeric features."""
+def _non_finite_field(doc, loc):
+    """The dotted field of the first NaN or infinite number in a JSON
+    document (Python's json reads NaN, Infinity and -Infinity), or None."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else loc or "(root)"
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        bad = _non_finite_field(value, f"{loc}.{key}" if loc else str(key))
+        if bad is not None:
+            return bad
+    return None
+
+
+def _read_csv(path):
+    """(column names, values) of a numeric CSV with a header row; a NaN or
+    infinite entry raises ValueError naming its data row and column, from 1."""
     import numpy as np
 
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    if "y" not in header:
-        raise ValueError(f"{path}: no column named 'y' in header")
-    ycol = header.index("y")
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    y = raw[:, ycol]
-    X = np.delete(raw, ycol, axis=1)
-    return X, y
+    from .samples import SampleMatrix
+
+    table = SampleMatrix.from_csv(path)
+    bad = np.argwhere(~np.isfinite(table.data))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}: row {i + 1}, column {j + 1}: {table.data[i, j]} is not a "
+                         "finite number")
+    return table.columns, table.data
 
 
 def _build_target(tcfg, path):
@@ -97,10 +114,14 @@ def _build_target(tcfg, path):
         if kind == "std_normal":
             return target.std_normal(int(params.get("dim", 2))), None
         if kind == "logistic":
-            if "csv_path" in tcfg:
-                X, y = _read_logistic_csv(tcfg["csv_path"])
+            if "csv_path" in tcfg:  # the label column is named y, the others are features
+                header, raw = _read_csv(tcfg["csv_path"])
+                if "y" not in header:
+                    raise ValueError(f"{tcfg['csv_path']}: no column named 'y' in header")
+                ycol = header.index("y")
                 spec = target.LogisticPosteriorSpec(
-                    X=X, y=y, prior_sigma=float(params.get("prior_sigma", 10.0))
+                    X=np.delete(raw, ycol, axis=1), y=raw[:, ycol],
+                    prior_sigma=float(params.get("prior_sigma", 10.0)),
                 )
             else:
                 spec, _ = target.logistic_data(
@@ -116,7 +137,7 @@ def _build_target(tcfg, path):
         if kind == "gmm":
             prior_cfg = params.get("prior", {})
             if "csv_path" in tcfg:
-                data = np.loadtxt(tcfg["csv_path"], delimiter=",", skiprows=1, ndmin=2)
+                data = _read_csv(tcfg["csv_path"])[1]
             else:
                 data, _, _ = target.gmm_data(
                     float(params.get("delta", 6.0)), int(params.get("seed", 0)),
@@ -151,16 +172,10 @@ def _build_target(tcfg, path):
         raise ConfigError(f"{path}: target: {e}")
 
 
-def _activation(name):
-    from .potential import Activation
-
-    return Activation(name or "tanh")
-
-
 def cmd_train(args):
     cfg = _load_config(args.config)
     from . import experiments, mixed, refsampler, trainer
-    from .potential import map_to_json
+    from .potential import Activation, map_to_json
     from .target import GaussianMixtureSpec
 
     tcfg, mcfg = cfg["target"], cfg["map"]
@@ -179,41 +194,38 @@ def cmd_train(args):
         raise ConfigError(f"{args.config}: map.family {family} fits {fits}, "
                           f"not target.kind {kind}")
     seed = int(mcfg.get("seed", tconf.seed))
+    activation = Activation(mcfg.get("activation", "tanh"))
     try:
         if family == "affine":
             mp, report = trainer.train_affine(tgt, tconf)
-            map_doc = map_to_json(mp)
         elif family == "maxpot":
-            mp = experiments.random_maxpot_map(
-                int(mcfg.get("L", 1)), int(mcfg.get("M", 8)), tgt.dim, seed,
-                activation=_activation(mcfg.get("activation")),
-                gamma_sharp=tconf.gamma_sharp,
-            )
+            # the pipelines' recipe, on exact target draws when there are any
+            L, cloud = int(mcfg.get("L", 1)), None
             if tconf.sinkhorn is not None and isinstance(spec, GaussianMixtureSpec):
-                sub = refsampler.exact_mixture_sampler(
-                    spec, tconf.sinkhorn.n_target_samples, seed=seed + 1
-                ).data
-                mp = trainer.init_by_sinkhorn(mp, sub, tconf)
-            mp, report = trainer.train(mp, tgt, tconf)
-            map_doc = map_to_json(mp)
+                n = tconf.sinkhorn.n_target_samples
+                if L > n:  # each local starts at a k-means center of the n draws
+                    raise ConfigError(f"{args.config}: map.L {L} exceeds "
+                                      f"train.sinkhorn.n_target_samples {n}")
+                cloud = refsampler.exact_mixture_sampler(spec, n, seed=seed + 1).data
+            mp, report = experiments.fit_maxpot(
+                tgt, cloud, L, int(mcfg.get("M", 8)), activation, seed, [tconf]
+            )
         elif family == "semidiscrete":
             mp = mixed.random_semidiscrete_map(
                 K=len(spec), p=tgt.dim, M=int(mcfg.get("M", 8)), seed=seed,
                 kappa=float(mcfg.get("kappa", 1.0)),
-                activation=_activation(mcfg.get("activation")),
+                activation=activation,
             )
             mp, report = trainer.train_mixed(mp, tgt, tconf)
-            map_doc = mixed.mixed_map_to_json(mp)
         else:  # gmm_meanfield, the last family the schema allows
             data, prior, K = spec
             mp = mixed.random_gmm_map(
                 n_obs=data.shape[0], K=K, d=data.shape[1],
                 M=int(mcfg.get("M", 4)), seed=seed,
                 kappa=mcfg.get("kappa"), block_split=True,
-                activation=_activation(mcfg.get("activation")),
+                activation=activation,
             )
             mp, report = trainer.train_mixed(mp, tgt, tconf)
-            map_doc = mixed.mixed_map_to_json(mp)
     except (trainer.SinkhornNonConvergence, FloatingPointError) as e:
         raise NumericalError(f"training aborted: {e}")
     out_dir = cfg["out_dir"]
@@ -229,7 +241,7 @@ def cmd_train(args):
             f"singular); wrote {out_dir}/report.json, no map"
         )
     with open(os.path.join(out_dir, "map.json"), "w") as fh:
-        fh.write(map_doc)
+        fh.write((mixed.mixed_map_to_json if need else map_to_json)(mp))
     print(f"wrote {out_dir}/map.json and {out_dir}/report.json")
     return EXIT_OK
 

@@ -38,6 +38,7 @@ __all__ = [
     "point_in_polygon",
     "marginal_ci",
     "random_maxpot_map",
+    "fit_maxpot",
 ]
 
 SPARSE_BETA = np.array([2.0, 0.0, 4.0, 0.0, 3.0, 0.0, -1.0, 0.0, 1.0, 0.0])
@@ -74,7 +75,7 @@ def marginal_ci(draws, level: float = 0.95):
 
 
 def random_maxpot_map(L, M, p, seed, activation=Activation.TANH, centers=None,
-                      alpha_scale=0.5, gamma_sharp=10.0) -> MaxPotentialMap:
+                      alpha_scale=0.5) -> MaxPotentialMap:
     """Random map initialization; optional per-local gradient centers.
 
     When ``centers`` is given (L, p), local k's linear terms sum to
@@ -88,7 +89,7 @@ def random_maxpot_map(L, M, p, seed, activation=Activation.TANH, centers=None,
     alpha = alpha_scale / np.sqrt(p) * G[..., p : 2 * p]
     w = 0.5 * G[..., 2 * p]
     bank = PotentialBank(alpha, beta, w, np.zeros((L, M)), activation)
-    return MaxPotentialMap(bank, gamma_sharp=gamma_sharp)
+    return MaxPotentialMap(bank)
 
 
 def _kmeans_centers(X, L, seed):
@@ -155,37 +156,27 @@ def rebalance_locals(mp, spec, seed=0) -> MaxPotentialMap:
     return MaxPotentialMap(dataclasses.replace(st, v=v), gamma_sharp=mp.gamma_sharp)
 
 
-def _train_mixture_map(spec, L, M, seed, activation, init_samples,
-                       train_iters, batch_size, lr, init_steps, stage2=None):
-    """Shared pipeline for multimodal mixture targets.
+def fit_maxpot(tgt, cloud, L, M, activation, seed, stages):
+    """The one fit of a max-potential map to ``tgt``; returns (map, report).
 
-    ``stage2`` is an optional (batch_size, iters, lr) polishing stage at a
-    smaller learning rate; the larger batch drops the SGD noise floor once
-    the map is in the right basin.
+    Each local's gradient starts at a k-means center of the target draws
+    ``cloud``, and when ``stages[0].sinkhorn`` is set the map is pretrained
+    by Sinkhorn divergence on a subsample of them; ``cloud=None`` skips
+    both. Then one ``trainer.train`` runs per TrainConfig in ``stages`` (a
+    later stage at a larger batch drops the SGD noise floor), and their
+    reports are joined.
     """
-    tgt = gaussian_mixture(spec)
-    centers = _kmeans_centers(init_samples, L, seed)
-    mp = random_maxpot_map(L, M, spec.dim, seed, activation=activation, centers=centers)
-    cfg = trainer.TrainConfig(
-        batch_size=batch_size, max_iters=train_iters, learning_rate=lr, seed=seed,
-        sinkhorn=trainer.SinkhornConfig(
-            n_target_samples=min(256, init_samples.shape[0]), init_steps=init_steps
-        ),
-    )
-    sub = init_samples[
-        stream(seed, 13).choice(
-            init_samples.shape[0], size=cfg.sinkhorn.n_target_samples, replace=False
-        )
-    ]
-    mp = trainer.init_by_sinkhorn(mp, sub, cfg)
-    mp, report = trainer.train(mp, tgt, cfg)
-    if stage2 is not None:
-        bs2, iters2, lr2 = stage2
-        cfg2 = trainer.TrainConfig(
-            batch_size=bs2, max_iters=iters2, learning_rate=lr2, seed=seed + 1
-        )
-        mp, rep2 = trainer.train(mp, tgt, cfg2)
-        report = _join_reports(report, rep2)
+    centers = None if cloud is None else _kmeans_centers(cloud, L, seed)
+    mp = random_maxpot_map(L, M, tgt.dim, seed, activation=activation, centers=centers)
+    sk = stages[0].sinkhorn
+    if cloud is not None and sk is not None:
+        n = min(sk.n_target_samples, cloud.shape[0])
+        sub = cloud[stream(seed, 13).choice(cloud.shape[0], size=n, replace=False)]
+        mp = trainer.init_by_sinkhorn(mp, sub, stages[0])
+    report = None
+    for cfg in stages:
+        mp, rep = trainer.train(mp, tgt, cfg)
+        report = rep if report is None else _join_reports(report, rep)
     return mp, report
 
 
@@ -203,10 +194,11 @@ def run_twoball(out_dir=None, seed=0) -> dict:
     n_eval, eps_w2 = 10000, 60.0  # the W2 regularization is calibrated at n_eval
     spec = two_ball_spec()
     bench = refsampler.exact_mixture_sampler(spec, n_eval, seed=seed + 101).data
-    mp, report = _train_mixture_map(
-        spec, 2, 8, seed, Activation.TANH, bench, train_iters=4000, batch_size=512,
-        lr=5e-3, init_steps=60, stage2=(1024, 4000, 5e-4),
-    )
+    mp, report = fit_maxpot(gaussian_mixture(spec), bench, 2, 8, Activation.TANH, seed, [
+        trainer.TrainConfig(batch_size=512, max_iters=4000, learning_rate=5e-3, seed=seed,
+                            sinkhorn=trainer.SinkhornConfig(n_target_samples=256, init_steps=60)),
+        trainer.TrainConfig(batch_size=1024, max_iters=4000, learning_rate=5e-4, seed=seed + 1),
+    ])
     mp = rebalance_locals(mp, spec, seed=seed)
     draws = inference.sample(mp, n_eval, seed=seed + 7).data
     w2 = metrics.w2_entropic(draws, bench, eps_w2)
@@ -237,10 +229,10 @@ def run_banana(out_dir=None, seed=0) -> dict:
     n_eval = 10000
     spec = banana_spec()
     bench = refsampler.exact_mixture_sampler(spec, n_eval, seed=seed + 102).data
-    mp, report = _train_mixture_map(
-        spec, 3, 8, seed, Activation.TANH, bench, train_iters=2000, batch_size=256,
-        lr=5e-3, init_steps=60,
-    )
+    mp, report = fit_maxpot(gaussian_mixture(spec), bench, 3, 8, Activation.TANH, seed, [
+        trainer.TrainConfig(batch_size=256, max_iters=2000, learning_rate=5e-3, seed=seed,
+                            sinkhorn=trainer.SinkhornConfig(n_target_samples=256, init_steps=60)),
+    ])
     draws = inference.sample(mp, n_eval, seed=seed + 7).data
     n_arc = 512
     outer = inference.quantile_contour(mp, 0.99, n_arc, seed=seed)
@@ -291,10 +283,11 @@ def run_mixture(d=5, K=3, out_dir=None, seed=11) -> dict:
     spec = mixture_spec(d, K, seed)
     bench1 = refsampler.exact_mixture_sampler(spec, n_eval, seed=seed + 103).data
     bench2 = refsampler.exact_mixture_sampler(spec, n_eval, seed=seed + 104).data
-    mp, report = _train_mixture_map(
-        spec, K, 16 if d <= 5 else 32, seed, Activation.TANH, bench1, train_iters=3000,
-        batch_size=256, lr=5e-3, init_steps=80,
-    )
+    M = 16 if d <= 5 else 32
+    mp, report = fit_maxpot(gaussian_mixture(spec), bench1, K, M, Activation.TANH, seed, [
+        trainer.TrainConfig(batch_size=256, max_iters=3000, learning_rate=5e-3, seed=seed,
+                            sinkhorn=trainer.SinkhornConfig(n_target_samples=256, init_steps=80)),
+    ])
     mp = rebalance_locals(mp, spec, seed=seed)
     draws = inference.sample(mp, n_eval, seed=seed + 7).data
     benchmark = metrics.w2_entropic(bench1, bench2, eps_w2)
@@ -333,21 +326,12 @@ def run_logistic(rho=0.5, out_dir=None, seed=21) -> dict:
     amap, rep = _two_stage_affine(tgt, seed)
     a_draws = inference.sample(amap, 4000, seed=seed + 3).data
 
-    mp = random_maxpot_map(1, 32, p, seed, activation=Activation.SOFTSIGN,
-                           centers=bench.mean(axis=0)[None, :], alpha_scale=0.5)
-    cfg = trainer.TrainConfig(
-        batch_size=256, max_iters=2500, learning_rate=2e-3, seed=seed + 4,
-        sinkhorn=trainer.SinkhornConfig(n_target_samples=256, init_steps=40),
-    )
-    sub = bench[stream(seed, 14).choice(bench.shape[0], size=256, replace=False)]
-    mp = trainer.init_by_sinkhorn(mp, sub, cfg)
-    mp, rep2 = trainer.train(mp, tgt, cfg)
-    # polish at a small learning rate and large batch; the residual mean
-    # offsets after the first stage sit well above the SGD noise floor
-    cfg_polish = trainer.TrainConfig(
-        batch_size=1024, max_iters=2000, learning_rate=2e-4, seed=seed + 9,
-    )
-    mp, _ = trainer.train(mp, tgt, cfg_polish)
+    # a polish stage: the first stage's residual mean offsets sit well above its noise floor
+    mp, _ = fit_maxpot(tgt, bench, 1, 32, Activation.SOFTSIGN, seed, [
+        trainer.TrainConfig(batch_size=256, max_iters=2500, learning_rate=2e-3, seed=seed + 4,
+                            sinkhorn=trainer.SinkhornConfig(n_target_samples=256, init_steps=40)),
+        trainer.TrainConfig(batch_size=1024, max_iters=2000, learning_rate=2e-4, seed=seed + 9),
+    ])
     m_draws = inference.sample(mp, 4000, seed=seed + 5).data
 
     scales = bench.std(axis=0)

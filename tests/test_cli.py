@@ -455,9 +455,124 @@ def test_maxpot_training_via_cli(tmp_path):
     )
     assert main(["train", "--config", cfg]) == EXIT_OK
     with open(os.path.join(tmp_path, "mp", "map.json")) as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    doc = json.loads(text)
     assert doc["family"] == "maxpot"
     assert doc["L"] == 2
+    # the pipelines' recipe, on the exact-sampler cloud of the Sinkhorn size
+    from otpost.experiments import fit_maxpot
+    from otpost.potential import Activation, map_to_json
+    from otpost.refsampler import exact_mixture_sampler
+    from otpost.target import gaussian_mixture, two_ball_spec
+    from otpost.trainer import TrainConfig
+
+    with open(cfg) as fh:
+        tconf = TrainConfig.from_dict(json.load(fh)["train"])
+    cloud = exact_mixture_sampler(two_ball_spec(), 64, seed=3).data
+    want, _ = fit_maxpot(gaussian_mixture(two_ball_spec()), cloud, 2, 4, Activation.TANH, 2,
+                         [tconf])
+    assert text == map_to_json(want)
+
+
+@pytest.mark.parametrize("sinkhorn", [None, {"n_target_samples": 16, "init_steps": 3}],
+                         ids=["no-sinkhorn", "sinkhorn-no-sampler"])
+def test_maxpot_training_without_target_draws_is_random_map_plus_train(tmp_path, sinkhorn):
+    # no Sinkhorn config, or a target with no exact sampler: no centers, no init
+    from otpost.experiments import random_maxpot_map
+    from otpost.potential import Activation, map_to_json
+    from otpost.target import std_normal
+    from otpost.trainer import TrainConfig, train
+
+    tdoc = {"max_iters": 20, "learning_rate": 0.005, "batch_size": 32, "seed": 4,
+            "gamma_sharp": 3.0, "sinkhorn": sinkhorn}
+    cfg = write_config(tmp_path, {
+        "target": {"kind": "std_normal", "params": {"dim": 3}},
+        "map": {"family": "maxpot", "L": 2, "M": 3, "seed": 6, "activation": "softsign"},
+        "train": tdoc, "out_dir": os.path.join(tmp_path, "mp"),
+    })
+    assert main(["train", "--config", cfg]) == EXIT_OK
+    start = random_maxpot_map(2, 3, 3, 6, activation=Activation.SOFTSIGN)
+    want, _ = train(start, std_normal(3), TrainConfig.from_dict(tdoc))
+    with open(os.path.join(tmp_path, "mp", "map.json")) as fh:
+        assert fh.read() == map_to_json(want)
+
+
+def test_maxpot_more_locals_than_sinkhorn_draws_exits_2(tmp_path, capsys):
+    # k-means cannot choose 5 distinct centers among 4 draws
+    out = os.path.join(tmp_path, "mp")
+    cfg = write_config(tmp_path, {
+        "target": {"kind": "two_ball"},
+        "map": {"family": "maxpot", "L": 5, "M": 2},
+        "train": {"max_iters": 2, "sinkhorn": {"n_target_samples": 4, "init_steps": 1}},
+        "out_dir": out,
+    })
+    assert main(["train", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "map.L 5" in err and "train.sinkhorn.n_target_samples 4" in err
+    assert not os.path.exists(out)
+
+
+_GM = {"weights": [0.5, 0.5], "means": [[-2.0, 0.0], [2.0, 0.0]],
+       "covariances": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]}
+
+
+@pytest.mark.parametrize("family, field, value", [
+    ("affine", ("train", "learning_rate"), float("nan")),
+    ("maxpot", ("train", "learning_rate"), float("nan")),
+    ("maxpot", ("train", "sinkhorn", "epsilon"), float("inf")),
+    ("maxpot", ("target", "params", "means", 1, 0), float("nan")),
+    ("maxpot", ("target", "params", "weights", 0), float("-inf")),
+], ids=["affine-learning_rate", "maxpot-learning_rate", "epsilon", "means", "weights"])
+def test_train_non_finite_config_number_exits_2(tmp_path, capsys, family, field, value):
+    out = os.path.join(tmp_path, "t")
+    doc = {"target": {"kind": "gaussian_mixture", "params": json.loads(json.dumps(_GM))},
+           "map": {"family": family},
+           "train": {"max_iters": 2, "batch_size": 8, "sinkhorn": {"init_steps": 1}},
+           "out_dir": out}
+    _set(field, value)(doc)
+    cfg = write_config(tmp_path, doc)
+    assert main(["train", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{'.'.join(map(str, field))}: not a finite number" in err
+    assert not os.path.exists(out)
+
+
+def test_reference_non_finite_config_number_exits_2(tmp_path, capsys):
+    params = json.loads(json.dumps(_GM))
+    params["covariances"][0][1][1] = float("nan")
+    cfg = reference_config(tmp_path, {"kind": "gaussian_mixture", "params": params})
+    out = os.path.join(tmp_path, "ref.csv")
+    assert main(["reference", "--config", cfg, "--n", "10", "--out", out]) == EXIT_CONFIG
+    assert "target.params.covariances.0.1.1: not a finite number" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def _csv_with_a_nan(tmp_path, header, n_cols):
+    data = np.random.default_rng(9).standard_normal((6, n_cols))
+    data[2, 1] = np.nan
+    path = os.path.join(tmp_path, "data.csv")
+    np.savetxt(path, data, delimiter=",", header=header, comments="")
+    return path
+
+
+@pytest.mark.parametrize("kind, family, header, n_cols", [
+    ("logistic", "affine", "a,b,y", 3),
+    ("gmm", "gmm_meanfield", "x0,x1", 2),
+], ids=["logistic", "gmm"])
+def test_csv_with_a_non_finite_entry_exits_2(tmp_path, capsys, kind, family, header, n_cols):
+    # both readers name the file, the data row and the column, counted from 1
+    csv = _csv_with_a_nan(tmp_path, header, n_cols)
+    out = os.path.join(tmp_path, "t")
+    cfg = write_config(tmp_path, {
+        "target": {"kind": kind, "csv_path": csv, "params": {"K": 2}},
+        "map": {"family": family}, "train": {"max_iters": 2, "batch_size": 8}, "out_dir": out,
+    })
+    ref = os.path.join(tmp_path, "ref.csv")
+    for argv in (["train", "--config", cfg],
+                 ["reference", "--config", cfg, "--n", "100", "--out", ref]):
+        assert main(argv) == EXIT_CONFIG
+        assert f"{csv}: row 3, column 2: nan is not a finite number" in capsys.readouterr().err
+    assert not os.path.exists(out) and not os.path.exists(ref)
 
 
 def test_semidiscrete_training_via_cli(tmp_path):

@@ -47,6 +47,17 @@ def test_w2_exact_translation_oracle():
     assert w2_exact(A, A) <= 1e-7
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e2, 1e4, 1e5])
+def test_w2_exact_is_translation_invariant(offset):
+    # uncentered, |a|^2 + |b|^2 - 2 a.b left rounding of order offset^2:
+    # w2_exact(A + 1e5, A + 1e5) read 9e-4
+    rg = stream(72, 0)
+    A, B = rg.standard_normal((500, 2)), rg.standard_normal((500, 2))
+    assert w2_exact(A + offset, A + offset) <= 1e-7
+    ref = w2_exact(A, B)
+    assert abs(w2_exact(A + offset, B + offset) - ref) <= 1e-11 * ref
+
+
 def test_w2_exact_cap():
     A = np.zeros((W2_EXACT_CAP + 1, 2))
     with pytest.raises(ValueError, match="w2_entropic"):

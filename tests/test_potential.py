@@ -327,7 +327,7 @@ def test_single_local_smooth_jacobian_matches_finite_difference():
 def test_smooth_j_misses_the_softmax_term_of_the_jacobian():
     # for L > 1, J = sum_l omega_l H_l lacks the term the softmax weights
     # add: gamma sum_l omega_l (grad u_l - T)(grad u_l - T)^T
-    mp = random_maxpot_map(2, 4, 2, 3, gamma_sharp=1.0)
+    mp = random_maxpot_map(2, 4, 2, 3).with_gamma(1.0)
     X = stream(3, 5).normal(0.0, 2.0, (200, 2))
     _, omega, grads, value, _, J = potential._smooth_pass(mp, X)
     D = grads - value[:, None, :]
@@ -454,7 +454,7 @@ def test_one_pass_gradient_is_bit_identical_on_the_mixture_shape():
 @pytest.mark.parametrize("seed", range(6))
 def test_one_pass_gradient_is_bit_identical_with_skipped_rows(seed):
     # at gamma 200 one local dominates most rows: J has rank 2 of 4 there
-    mp = random_maxpot_map(3, 2, 4, seed, gamma_sharp=200.0)
+    mp = random_maxpot_map(3, 2, 4, seed).with_gamma(200.0)
     X = stream(21, seed).standard_normal((64, 4))
     assert 0 < assert_detail_bit_identical(mp, std_normal(4), X) < 64
 

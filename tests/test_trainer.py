@@ -369,6 +369,38 @@ def test_two_stage_report_joins_traces_and_keeps_the_second_stage():
     )
 
 
+def test_fit_maxpot_runs_the_stages_back_to_back():
+    from otpost.experiments import fit_maxpot, random_maxpot_map
+    from otpost.potential import Activation, map_to_json
+
+    tgt = std_normal(2)
+    stages = [TrainConfig(batch_size=16, max_iters=5, learning_rate=1e-2, seed=1),
+              TrainConfig(batch_size=32, max_iters=3, learning_rate=1e-3, seed=2)]
+    mp, report = fit_maxpot(tgt, None, 2, 3, Activation.TANH, 0, stages)
+    mid, first = train(random_maxpot_map(2, 3, 2, 0), tgt, stages[0])
+    end, second = train(mid, tgt, stages[1])
+    assert report.objective_trace == first.objective_trace + second.objective_trace
+    assert report.variance_trace == first.variance_trace + second.variance_trace
+    assert report.final_iter == first.final_iter + second.final_iter == 8
+    assert map_to_json(mp) == map_to_json(end)
+
+
+def test_fit_maxpot_starts_from_centers_and_sinkhorn_on_the_cloud():
+    from otpost.experiments import _kmeans_centers, fit_maxpot, random_maxpot_map
+    from otpost.potential import Activation, map_to_json
+
+    tgt = gaussian_mixture(two_ball_spec())
+    cloud = stream(5, 0).standard_normal((40, 2)) * 3.0
+    cfg = TrainConfig(batch_size=16, max_iters=4, learning_rate=5e-3, seed=3,
+                      sinkhorn=SinkhornConfig(n_target_samples=64, init_steps=2))
+    mp, _ = fit_maxpot(tgt, cloud, 2, 3, Activation.TANH, 7, [cfg])
+    # n_target_samples is capped at the cloud's 40 rows
+    sub = cloud[stream(7, 13).choice(40, size=40, replace=False)]
+    start = random_maxpot_map(2, 3, 2, 7, centers=_kmeans_centers(cloud, 2, 7))
+    want, _ = train(init_by_sinkhorn(start, sub, cfg), tgt, cfg)
+    assert map_to_json(mp) == map_to_json(want)
+
+
 def test_train_raises_a_bug_in_the_target():
     # only numerical failures become an aborted run; a broken score raises
     from otpost.target import TargetDensity
