@@ -64,8 +64,12 @@ def _load_config(path):
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
         e = errors[0]
-        loc = ".".join(str(p) for p in e.absolute_path) or "(root)"
-        raise ConfigError(f"{path}: {loc}: {e.message}")
+        where, msg = [str(p) for p in e.absolute_path], e.message
+        if e.validator == "additionalProperties":  # name the first unknown key
+            where.append(sorted(set(e.instance) - set(e.schema.get("properties", {})))[0])
+            msg = "unknown field"
+        loc = ".".join(where) or "(root)"
+        raise ConfigError(f"{path}: {loc}: {msg}")
     return cfg
 
 
@@ -179,10 +183,7 @@ def cmd_train(args):
     from .target import GaussianMixtureSpec
 
     tcfg, mcfg = cfg["target"], cfg["map"]
-    try:
-        tconf = trainer.TrainConfig.from_dict(cfg.get("train", {}))
-    except ValueError as e:  # a value the schema allows but the config rejects
-        raise ConfigError(f"{args.config}: train: {e}")
+    tconf = trainer.TrainConfig.from_dict(cfg.get("train", {}))
     tgt, spec = _build_target(tcfg, args.config)
     kind, family = tcfg["kind"], mcfg["family"]
     # a mixed target is fitted by its own map family, any other target by a
@@ -193,26 +194,34 @@ def cmd_train(args):
         fits = f"target.kind {need}" if need else "continuous targets"
         raise ConfigError(f"{args.config}: map.family {family} fits {fits}, "
                           f"not target.kind {kind}")
+    # the Sinkhorn init pretrains a max-potential map on exact target draws
+    draws = family == "maxpot" and isinstance(spec, GaussianMixtureSpec)
+    if tconf.sinkhorn is not None and not draws:
+        what = f"target.kind {kind}" if family == "maxpot" else f"map.family {family}"
+        raise ConfigError(f"{args.config}: train.sinkhorn: no Sinkhorn init runs for {what}")
+    M = int(mcfg.get("M", 4 if family == "gmm_meanfield" else 8))
+    # a local's Hessian sum_m phi'(s_m) alpha_m alpha_m^T has rank at most M
+    if family in ("maxpot", "semidiscrete") and M < tgt.dim:
+        raise ConfigError(f"{args.config}: map.M {M} is below the target dimension p {tgt.dim}, "
+                          "so every Jacobian would be singular")
     seed = int(mcfg.get("seed", tconf.seed))
     activation = Activation(mcfg.get("activation", "tanh"))
     try:
         if family == "affine":
             mp, report = trainer.train_affine(tgt, tconf)
         elif family == "maxpot":
-            # the pipelines' recipe, on exact target draws when there are any
+            # the pipelines' recipe, on exact target draws with train.sinkhorn
             L, cloud = int(mcfg.get("L", 1)), None
-            if tconf.sinkhorn is not None and isinstance(spec, GaussianMixtureSpec):
+            if tconf.sinkhorn is not None:
                 n = tconf.sinkhorn.n_target_samples
                 if L > n:  # each local starts at a k-means center of the n draws
                     raise ConfigError(f"{args.config}: map.L {L} exceeds "
                                       f"train.sinkhorn.n_target_samples {n}")
                 cloud = refsampler.exact_mixture_sampler(spec, n, seed=seed + 1).data
-            mp, report = experiments.fit_maxpot(
-                tgt, cloud, L, int(mcfg.get("M", 8)), activation, seed, [tconf]
-            )
+            mp, report = experiments.fit_maxpot(tgt, cloud, L, M, activation, seed, [tconf])
         elif family == "semidiscrete":
             mp = mixed.random_semidiscrete_map(
-                K=len(spec), p=tgt.dim, M=int(mcfg.get("M", 8)), seed=seed,
+                K=len(spec), p=tgt.dim, M=M, seed=seed,
                 kappa=float(mcfg.get("kappa", 1.0)),
                 activation=activation,
             )
@@ -221,7 +230,7 @@ def cmd_train(args):
             data, prior, K = spec
             mp = mixed.random_gmm_map(
                 n_obs=data.shape[0], K=K, d=data.shape[1],
-                M=int(mcfg.get("M", 4)), seed=seed,
+                M=M, seed=seed,
                 kappa=mcfg.get("kappa"), block_split=True,
                 activation=activation,
             )

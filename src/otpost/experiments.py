@@ -95,9 +95,12 @@ def random_maxpot_map(L, M, p, seed, activation=Activation.TANH, centers=None,
 def _kmeans_centers(X, L, seed):
     rg = stream(seed, 12)
     centers = X[rg.choice(X.shape[0], size=L, replace=False)]
+    lab = None
     for _ in range(50):
         d2 = ((X[:, None, :] - centers[None]) ** 2).sum(axis=2)
-        lab = d2.argmin(axis=1)
+        prev, lab = lab, d2.argmin(axis=1)
+        if np.array_equal(lab, prev):  # the same rows give the same means
+            break
         for k in range(L):
             sel = X[lab == k]
             if len(sel):

@@ -318,11 +318,8 @@ def standardized_w2(A, B, scales, joint: bool = False) -> float:
     return float(np.mean([_w2_1d(As[:, j], Bs[:, j]) for j in range(A.shape[1])]))
 
 
-def metric_report(metric: str, value: float, n: int, seed: int | None = None,
-                  epsilon: float | None = None) -> str:
+def metric_report(metric: str, value: float, n: int, epsilon: float | None = None) -> str:
     doc = {"metric": metric, "value": value, "n": n}
-    if seed is not None:
-        doc["seed"] = seed
     if epsilon is not None:
         doc["epsilon"] = epsilon
     return json.dumps(doc, indent=2)

@@ -227,7 +227,7 @@ def gmm_push(map, x1_blocks, x2):
     return labels, zeta
 
 
-def _winner_logdet(map, s, win, jitter=None):
+def _winner_logdet(map, s, win):
     """p log(kappa) + log det of the summed Hessians of the winning locals
     win (B, n_obs) at pre-activations s (B, L, M), with the Cholesky mask and
     factors of ``logdet_spd``. The label block contributes no volume."""
@@ -235,7 +235,7 @@ def _winner_logdet(map, s, win, jitter=None):
     alpha_w = bank.alpha[win]  # (B, n_obs, M, p)
     dphi_w = activation_deriv(bank.activation, s[np.arange(win.shape[0])[:, None], win])
     Hsum = np.einsum("bnm,bnmp,bnmq->bnpq", dphi_w, alpha_w, alpha_w).sum(axis=1)
-    logdetH, ok, chol = logdet_spd(Hsum, jitter)
+    logdetH, ok, chol = logdet_spd(Hsum)
     return map.phi_dim * np.log(map.kappa) + logdetH, ok, chol
 
 
@@ -387,7 +387,7 @@ def reference_dim(map) -> int:
     return map.label_dim + map.phi_dim
 
 
-def mixed_objective_grad(map, target: MixedTarget, X, gamma: float, jitter=None):
+def mixed_objective_grad(map, target: MixedTarget, X, gamma: float):
     """Batch-mean gradient of the minimized mixed objective, plus diagnostics.
 
     Objective per sample: log Phat(tau|x2) - log pi~(tau, zeta) - logdet.
@@ -409,7 +409,7 @@ def mixed_objective_grad(map, target: MixedTarget, X, gamma: float, jitter=None)
     labels = np.argmax(X1 + vals, axis=2)  # (B, n)
     idx = np.arange(B)[:, None]
     win = K * np.arange(n) + labels  # (B, n) winning local indices
-    logdet, ok, chol = _winner_logdet(map, s, win, jitter)
+    logdet, ok, chol = _winner_logdet(map, s, win)
     zeta = map.kappa * st.grads(X2, s)[idx, win].sum(axis=1)
     logpi = target.log_unnorm(labels, zeta)
     # Phat per observation, chunked over samples to bound memory

@@ -442,13 +442,11 @@ def softmax(z: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def logdet_spd(J: np.ndarray, jitter: float | None = None):
-    """Log-determinants of a batch (B, p, p) of symmetric matrices (plus
-    jitter * I), the mask of those a Cholesky factorization accepts and the
-    lower factors; the others get -inf and an unspecified factor."""
-    B, p = J.shape[0], J.shape[1]
-    if jitter:
-        J = J + jitter * np.eye(p)
+def logdet_spd(J: np.ndarray):
+    """Log-determinants of a batch (B, p, p) of symmetric matrices, the mask
+    of those a Cholesky factorization accepts and the lower factors; the
+    others get -inf and an unspecified factor."""
+    B = J.shape[0]
     chol = np.empty_like(J)
     ok = np.ones(B, dtype=bool)
     try:
@@ -504,26 +502,24 @@ def _param_grads(map: MaxPotentialMap, G, X, s, omega, grads, hess=None, chol=No
     return map.bank.param_vjp(X, gamma * omega * delta, omega, G, A, s)
 
 
-def smooth_batch(map: MaxPotentialMap, X: np.ndarray, jitter: float | None = None):
-    """Smooth transport of a batch X (B, p): value, J, log det(J + jitter * I)
-    and the mask of rows a Cholesky factorization accepts (the others get
-    -inf). J is the omega-weighted local Hessians of ``_smooth_pass``; it is
-    the value's Jacobian only when L = 1."""
+def smooth_batch(map: MaxPotentialMap, X: np.ndarray):
+    """Smooth transport of a batch X (B, p): value, J, log det J and the mask
+    of rows a Cholesky factorization accepts (the others get -inf). J is the
+    omega-weighted local Hessians of ``_smooth_pass``; it is the value's
+    Jacobian only when L = 1."""
     *_, value, _, J = _smooth_pass(map, X)
-    logdet, ok, _ = logdet_spd(J, jitter)
+    logdet, ok, _ = logdet_spd(J)
     return value, J, logdet, ok
 
 
-def transport_smooth(
-    map: MaxPotentialMap, x, jitter: float | None = None
-) -> tuple[np.ndarray, np.ndarray, float]:
+def transport_smooth(map: MaxPotentialMap, x) -> tuple[np.ndarray, np.ndarray, float]:
     """Softmax-weighted transport value, J and its log-determinant, for one
     point. J is the omega-weighted local Hessians (see ``smooth_batch``), the
     value's Jacobian only when L = 1."""
     X, single = _as_batch(x)
     if not single:
         raise ValueError("transport_smooth takes a single point; see smooth_batch")
-    value, J, logdet, ok = smooth_batch(map, X, jitter=jitter)
+    value, J, logdet, ok = smooth_batch(map, X)
     if not ok[0]:
         raise SingularJacobian(x)
     return value[0], J[0], float(logdet[0])
@@ -540,13 +536,13 @@ def objective_sample(map, target, x) -> float:
     return float(target.log_unnorm(value) + logdet)
 
 
-def objective_batch(map, target, X: np.ndarray, jitter: float | None = None):
+def objective_batch(map, target, X: np.ndarray):
     """Per-sample objective values plus a validity mask."""
     X = np.asarray(X, dtype=float)
     if isinstance(map, AffineMap):
         vals = target.log_unnorm(map.apply(X)) + map.logdet()
         return vals, np.ones(X.shape[0], dtype=bool)
-    value, _, logdet, ok = smooth_batch(map, X, jitter=jitter)
+    value, _, logdet, ok = smooth_batch(map, X)
     return np.where(ok, target.log_unnorm(value) + logdet, -np.inf), ok
 
 
@@ -558,22 +554,22 @@ def smooth_param_grads(map: MaxPotentialMap, X: np.ndarray, G: np.ndarray, with_
     """Per-sample parameter gradients (B, n_params) of <G_b, T(x_b)> for a
     batch X (B, p) and a cotangent G (B, p) on the value, plus those of
     log det M_b if ``with_logdet_of`` holds positive-definite M (B, p, p),
-    such as J + jitter * I. Training reuses its own pass instead."""
+    such as J. Training reuses its own pass instead."""
     if with_logdet_of is None:
         return _param_grads(map, G, X, *_smooth_pass(map, X, second_order=False)[:3])
     s, omega, grads, _, hess, _ = _smooth_pass(map, X)
     return _param_grads(map, G, X, s, omega, grads, hess, np.linalg.cholesky(with_logdet_of))
 
 
-def param_grad_detail(map: MaxPotentialMap, target, X: np.ndarray, jitter: float | None = None):
-    """Batch-mean gradient of log pi~(T(x)) + log det(J + jitter * I) over a
-    batch X (B, p), the per-sample objectives and the number of rows skipped
-    (objective -inf) because a Cholesky factorization rejects J + jitter * I.
+def param_grad_detail(map: MaxPotentialMap, target, X: np.ndarray):
+    """Batch-mean gradient of log pi~(T(x)) + log det J over a batch X (B, p),
+    the per-sample objectives and the number of rows skipped (objective
+    -inf) because a Cholesky factorization rejects J.
     One pass and one factorization serve all three; SingularJacobian if every
     row is skipped."""
     X = np.asarray(X, dtype=float)
     s, omega, grads, value, hess, J = _smooth_pass(map, X)
-    logdet, ok, chol = logdet_spd(J, jitter)
+    logdet, ok, chol = logdet_spd(J)
     if not np.any(ok):
         raise SingularJacobian(X[0])
     G = np.asarray(target.score(value[ok]), dtype=float)
@@ -582,10 +578,10 @@ def param_grad_detail(map: MaxPotentialMap, target, X: np.ndarray, jitter: float
     return per_sample.mean(axis=0), objs, int(np.sum(~ok))
 
 
-def param_grad(map: MaxPotentialMap, target, batch, jitter: float | None = None):
+def param_grad(map: MaxPotentialMap, target, batch):
     """Analytic gradient of the batch-mean objective w.r.t. all parameters."""
     X = batch.data if hasattr(batch, "data") else np.asarray(batch, dtype=float)
-    return param_grad_detail(map, target, X, jitter=jitter)[0]
+    return param_grad_detail(map, target, X)[0]
 
 
 # ---------------------------------------------------------------------------

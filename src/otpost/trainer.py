@@ -58,35 +58,24 @@ class SinkhornNonConvergence(RuntimeError):
 @dataclass
 class SinkhornConfig:
     n_target_samples: int = 512
-    epsilon: float | None = None  # None -> 0.05 x median pairwise squared distance
-    iters: int = 5000
-    tol: float = 1e-4  # marginal tolerance during initialization only
     init_steps: int = 200
 
     def __post_init__(self):
         # the bounds of the "sinkhorn" object in schemas/config.v1.json
         if self.n_target_samples < 2:
             raise ValueError("sinkhorn n_target_samples must be >= 2")
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ValueError("sinkhorn epsilon must be None or positive")
-        if self.iters < 1:
-            raise ValueError("sinkhorn iters must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("sinkhorn tol must be positive")
         if self.init_steps < 0:
             raise ValueError("sinkhorn init_steps must be >= 0")
 
 
 @dataclass
 class StopConfig:
-    window: int = 20
     variance_tol: float = 0.0  # 0 disables variance stopping
-    patience: int = 5
 
     def __post_init__(self):
-        # the bounds of the "stop" object in schemas/config.v1.json
-        if self.window < 1 or self.patience < 1 or not self.variance_tol >= 0:
-            raise ValueError("stop needs window >= 1, patience >= 1 and variance_tol >= 0")
+        # the bound of the "stop" object in schemas/config.v1.json
+        if not self.variance_tol >= 0:
+            raise ValueError("stop needs variance_tol >= 0")
 
 
 @dataclass
@@ -94,22 +83,14 @@ class TrainConfig:
     batch_size: int = 128
     max_iters: int = 2000
     learning_rate: float = 1e-3
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
     seed: int = 0
     gamma_sharp: float = 10.0
     sinkhorn: SinkhornConfig | None = None
     stop: StopConfig = field(default_factory=StopConfig)
-    jitter: float | None = None
 
     def __post_init__(self):
-        b1, b2 = self.adam_betas
-        if not (0 < b1 < 1 and 0 < b2 < 1):
-            raise ValueError("adam_betas must lie in (0, 1)")
         if self.batch_size < 1 or self.max_iters < 1 or self.learning_rate <= 0:
             raise ValueError("invalid training configuration")
-        if self.jitter is not None and not self.jitter >= 0:
-            raise ValueError("jitter must be None or >= 0")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -120,8 +101,6 @@ class TrainConfig:
         dataclass defaults. Unknown keys raise TypeError, bad values ValueError."""
         doc = dict(doc)
         sk, st = doc.pop("sinkhorn", None), doc.pop("stop", None)
-        if "adam_betas" in doc:
-            doc["adam_betas"] = tuple(doc["adam_betas"])
         return cls(
             **doc,
             sinkhorn=None if sk is None else SinkhornConfig(**sk),
@@ -348,7 +327,10 @@ def init_by_sinkhorn(map, target_samples, config: TrainConfig):
     ``config.gamma_sharp`` and returns a map of that sharpness.
 
     ``target_samples`` are (approximate) draws from the target; accuracy
-    requirements are mild since this only initializes the KL training.
+    requirements are mild since this only initializes the KL training. The
+    divergence runs at eps = 0.05 x the median squared distance of the first
+    step's pushed points to the draws, for up to 5000 Sinkhorn iterations to
+    a marginal tolerance of 1e-4.
     """
     if not isinstance(map, MaxPotentialMap):
         raise TypeError(f"init_by_sinkhorn takes a MaxPotentialMap, not {type(map).__name__}")
@@ -360,15 +342,15 @@ def init_by_sinkhorn(map, target_samples, config: TrainConfig):
     p = map.dim
     n = Y.shape[0]
     theta = map.flat_params()
-    opt = Adam(theta.size, lr=config.learning_rate * 10, betas=config.adam_betas, eps=config.adam_eps)
-    epsilon = sk.epsilon
+    opt = Adam(theta.size, lr=config.learning_rate * 10)
+    epsilon = None
     cur = map
     for t in range(sk.init_steps):
         X = stream(config.seed, 7, t).standard_normal((n, p))
         *first, A = _smooth_pass(cur, X, second_order=False)  # one value-only pass serves the vjp too
         if epsilon is None:
             epsilon = 0.05 * median_sq_dist(A, Y)
-        _, gA = _divergence_grad(A, Y, epsilon, sk.iters, sk.tol)
+        _, gA = _divergence_grad(A, Y, epsilon, 5000, 1e-4)
         theta = theta + opt.step(_param_grads(cur, gA, X, *first).sum(axis=0))
         cur = map.with_flat_params(theta)
     return cur
@@ -383,18 +365,20 @@ def _reference_logpdf(X):
 
 
 def _variance_stop(variance_trace, stop: StopConfig, streak: int):
-    if stop.variance_tol <= 0 or len(variance_trace) < stop.window:
+    """Stop once the mean variance of the last 20 steps has stayed below
+    variance_tol for 5 steps in a row."""
+    if stop.variance_tol <= 0 or len(variance_trace) < 20:
         return 0, False
-    recent = np.mean(variance_trace[-stop.window :])
+    recent = np.mean(variance_trace[-20:])
     streak = streak + 1 if recent < stop.variance_tol else 0
-    return streak, streak >= stop.patience
+    return streak, streak >= 5
 
 
 def _run_adam(theta, grad_fn, ref_dim: int, config: TrainConfig):
     """Shared ascent loop over (batch_size, ref_dim) reference batches X:
     grad_fn(theta, X) -> (grad, per-sample objectives, skipped)."""
     report = TrainReport()
-    opt = Adam(theta.size, config.learning_rate, config.adam_betas, config.adam_eps)
+    opt = Adam(theta.size, config.learning_rate)
     streak = 0
     t0 = time.perf_counter()
     for t in range(config.max_iters):
@@ -428,7 +412,7 @@ def train(map: MaxPotentialMap, target: TargetDensity, config: TrainConfig):
     def grad_fn(theta, X):
         m = cur.with_flat_params(theta)
         try:
-            return param_grad_detail(m, target, X, jitter=config.jitter)
+            return param_grad_detail(m, target, X)
         except SingularJacobian:  # every row skipped: a NaN step, which aborts training
             return np.full(theta.size, np.nan), np.full(X.shape[0], np.nan), X.shape[0]
 
@@ -472,7 +456,7 @@ def train_mixed(map, target, config: TrainConfig):
     def grad_fn(theta, X):
         m = mx.with_flat_params(cur, theta)
         # maximize -mixed objective (the mixed form is minimized)
-        grad, objs, skipped = mx.mixed_objective_grad(m, target, X, config.gamma_sharp, jitter=config.jitter)
+        grad, objs, skipped = mx.mixed_objective_grad(m, target, X, config.gamma_sharp)
         return -grad, -objs, skipped
 
     theta, report = _run_adam(mx.flat_params(map), grad_fn, mx.reference_dim(map), config)

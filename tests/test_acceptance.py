@@ -207,7 +207,7 @@ def test_criterion_7_property_suites():
     vtol = 1e-3
     cfg = trainer.TrainConfig(
         batch_size=256, max_iters=2000, learning_rate=1e-2, seed=86,
-        stop=trainer.StopConfig(window=20, variance_tol=vtol, patience=5),
+        stop=trainer.StopConfig(variance_tol=vtol),
     )
     _, rep = trainer.train_affine(std_normal(2), cfg)
     final_var = float(np.mean(rep.variance_trace[-20:]))

@@ -78,20 +78,25 @@ def test_train_aborted_exits_3(tmp_path, capsys):
     assert not os.path.exists(os.path.join(tmp_path, "ab", "map.json"))
 
 
-def test_train_value_the_config_rejects_exits_2(tmp_path, capsys):
-    # the schema allows any two numbers as adam_betas; TrainConfig does not
-    cfg = write_config(
-        tmp_path,
-        {
-            "target": {"kind": "std_normal", "params": {"dim": 2}},
-            "map": {"family": "affine"},
-            "train": {"adam_betas": [1.5, 0.9]},
-            "out_dir": os.path.join(tmp_path, "bad"),
-        },
-    )
+_FIXED_SETTINGS = [
+    ("adam_betas", {"adam_betas": [0.9, 0.999]}), ("adam_eps", {"adam_eps": 1e-8}),
+    ("jitter", {"jitter": 1e-3}), ("sinkhorn.epsilon", {"sinkhorn": {"epsilon": 0.3}}),
+    ("sinkhorn.iters", {"sinkhorn": {"iters": 5000}}), ("sinkhorn.tol", {"sinkhorn": {"tol": 1e-4}}),
+    ("stop.window", {"stop": {"window": 20}}), ("stop.patience", {"stop": {"patience": 5}}),
+]
+
+
+@pytest.mark.parametrize("field, train", _FIXED_SETTINGS, ids=[f for f, _ in _FIXED_SETTINGS])
+def test_train_fixed_setting_exits_2(tmp_path, capsys, field, train):
+    # these settings are fixed (at the values given here), so no config sets them
+    out = os.path.join(tmp_path, "bad")
+    cfg = write_config(tmp_path, {
+        "target": {"kind": "std_normal", "params": {"dim": 2}},
+        "map": {"family": "affine"}, "train": {"max_iters": 2, **train}, "out_dir": out,
+    })
     assert main(["train", "--config", cfg]) == EXIT_CONFIG
-    assert "adam_betas" in capsys.readouterr().err
-    assert not os.path.exists(os.path.join(tmp_path, "bad"))
+    assert f"train.{field}: unknown field" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_train_map_gamma_sharp_exits_2(tmp_path, capsys):
@@ -476,8 +481,10 @@ def test_maxpot_training_via_cli(tmp_path):
 
 @pytest.mark.parametrize("sinkhorn", [None, {"n_target_samples": 16, "init_steps": 3}],
                          ids=["no-sinkhorn", "sinkhorn-no-sampler"])
-def test_maxpot_training_without_target_draws_is_random_map_plus_train(tmp_path, sinkhorn):
-    # no Sinkhorn config, or a target with no exact sampler: no centers, no init
+def test_maxpot_training_without_target_draws_is_random_map_plus_train(tmp_path, capsys,
+                                                                       sinkhorn):
+    # no Sinkhorn config: no centers, no init. A target with no exact sampler
+    # gives the init no draws, so a Sinkhorn config is refused there
     from otpost.experiments import random_maxpot_map
     from otpost.potential import Activation, map_to_json
     from otpost.target import std_normal
@@ -490,6 +497,12 @@ def test_maxpot_training_without_target_draws_is_random_map_plus_train(tmp_path,
         "map": {"family": "maxpot", "L": 2, "M": 3, "seed": 6, "activation": "softsign"},
         "train": tdoc, "out_dir": os.path.join(tmp_path, "mp"),
     })
+    if sinkhorn is not None:
+        assert main(["train", "--config", cfg]) == EXIT_CONFIG
+        assert "train.sinkhorn: no Sinkhorn init runs for target.kind std_normal" in (
+            capsys.readouterr().err)
+        assert not os.path.exists(os.path.join(tmp_path, "mp"))
+        return
     assert main(["train", "--config", cfg]) == EXIT_OK
     start = random_maxpot_map(2, 3, 3, 6, activation=Activation.SOFTSIGN)
     want, _ = train(start, std_normal(3), TrainConfig.from_dict(tdoc))
@@ -509,6 +522,42 @@ def test_maxpot_more_locals_than_sinkhorn_draws_exits_2(tmp_path, capsys):
     assert main(["train", "--config", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "map.L 5" in err and "train.sinkhorn.n_target_samples 4" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("target, family", [
+    ({"kind": "two_ball"}, "affine"),
+    ({"kind": "discrete_mixture", "params": {"weights": [0.5, 0.5], "means": [[-2.0], [2.0]],
+                                             "sds": [[1.0], [1.0]]}}, "semidiscrete"),
+    ({"kind": "gmm", "params": {"n_obs": 20, "K": 2}}, "gmm_meanfield"),
+], ids=["affine", "semidiscrete", "gmm_meanfield"])
+def test_train_sinkhorn_for_a_family_without_an_init_exits_2(tmp_path, capsys, target, family):
+    out = os.path.join(tmp_path, "t")
+    cfg = write_config(tmp_path, {
+        "target": target, "map": {"family": family},
+        "train": {"max_iters": 2, "batch_size": 8, "sinkhorn": {"init_steps": 1}}, "out_dir": out,
+    })
+    assert main(["train", "--config", cfg]) == EXIT_CONFIG
+    assert f"train.sinkhorn: no Sinkhorn init runs for map.family {family}" in (
+        capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("target, mapdoc, M, p", [
+    ({"kind": "logistic", "params": {"n": 200, "p": 10}}, {"family": "maxpot"}, 8, 10),
+    ({"kind": "discrete_mixture", "params": {"weights": [0.5, 0.5], "means": [[-2.0, 0.0], [2.0, 0.0]],
+                                             "sds": [[1.0, 1.0], [1.0, 1.0]]}},
+     {"family": "semidiscrete", "M": 1}, 1, 2),
+], ids=["maxpot", "semidiscrete"])
+def test_train_fewer_units_than_dimensions_exits_2(tmp_path, capsys, target, mapdoc, M, p):
+    # each local's Hessian sums M rank-one terms, so M < p leaves J singular
+    out = os.path.join(tmp_path, "t")
+    cfg = write_config(tmp_path, {
+        "target": target, "map": mapdoc,
+        "train": {"max_iters": 20, "batch_size": 32}, "out_dir": out,
+    })
+    assert main(["train", "--config", cfg]) == EXIT_CONFIG
+    assert f"map.M {M} is below the target dimension p {p}" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -209,10 +209,10 @@ def test_standardized_w2_validation():
 
 
 def test_metric_report_fields():
-    doc = json.loads(metric_report("w2", 0.25, n=100, seed=7, epsilon=0.5))
-    assert doc == {"metric": "w2", "value": 0.25, "n": 100, "seed": 7, "epsilon": 0.5}
+    doc = json.loads(metric_report("w2", 0.25, n=100, epsilon=0.5))
+    assert doc == {"metric": "w2", "value": 0.25, "n": 100, "epsilon": 0.5}
     doc2 = json.loads(metric_report("tv", 0.1, n=10))
-    assert "seed" not in doc2 and "epsilon" not in doc2
+    assert doc2 == {"metric": "tv", "value": 0.1, "n": 10}
 
 
 def test_w2_entropic_large_clouds_stay_float32():
