@@ -13,10 +13,7 @@ from .potential import (
     SingularJacobian,
     activation_antiderivative,
     activation_value,
-    objective_sample,
-    param_grad,
     transport_hard,
-    transport_smooth,
 )
 from .target import (
     GaussianMixtureSpec,
@@ -31,8 +28,6 @@ from .trainer import (
     TrainConfig,
     TrainReport,
     init_by_sinkhorn,
-    mc_objective,
-    sinkhorn_divergence,
     train,
     train_affine,
     train_mixed,
@@ -46,7 +41,6 @@ from .mixed import (
     gmm_posterior_logdensity,
     gmm_push,
     mixed_logdet,
-    push_mixed,
 )
 from .inference import (
     NonConvergence,

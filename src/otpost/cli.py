@@ -279,6 +279,18 @@ def _load_map(path):
         raise ConfigError(f"{path}: not a valid map file: {e}")
 
 
+def _load_continuous_map(path):
+    """The affine or maxpot map of a map file: center-outward inference reads no mixed map."""
+    from .mixed import MeanFieldGmmMap, SemiDiscreteMap
+
+    mp = _load_map(path)
+    if isinstance(mp, (SemiDiscreteMap, MeanFieldGmmMap)):
+        family = "semidiscrete" if isinstance(mp, SemiDiscreteMap) else "gmm_meanfield"
+        raise ConfigError(f"{path}: center-outward inference needs an affine or maxpot map, "
+                          f"not a {family} map")
+    return mp
+
+
 def cmd_sample(args):
     from . import inference
 
@@ -292,7 +304,7 @@ def cmd_sample(args):
 def cmd_quantiles(args):
     from . import inference, plots
 
-    mp = _load_map(args.map)
+    mp = _load_continuous_map(args.map)
     qs = args.q or [0.2, 0.5, 0.9]
     os.makedirs(args.out_dir, exist_ok=True)
     contours = []
@@ -318,7 +330,7 @@ def cmd_invert(args):
 
     from . import inference
 
-    mp = _load_map(args.map)
+    mp = _load_continuous_map(args.map)
     try:
         theta0 = [float(t) for t in args.theta0.split(",")]
     except ValueError:

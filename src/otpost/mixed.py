@@ -32,13 +32,14 @@ from .potential import (
 )
 from .rng import stream
 
+CONDITIONAL_GAMMA = 10.0  # the sharpness of conditional_prob_estimate's softmax
+
 __all__ = [
     "Embedding",
     "SemiDiscreteMap",
     "MeanFieldGmmMap",
     "MixedTarget",
     "GmmPrior",
-    "push_mixed",
     "conditional_prob_estimate",
     "mixed_logdet",
     "gmm_push",
@@ -180,28 +181,6 @@ class MixedTarget:
 # ---------------------------------------------------------------------------
 # pushes
 
-def push_mixed(map: SemiDiscreteMap, x1, x2):
-    """(tau, zeta) for one reference point or a batch; ties go to the lowest index.
-
-    One point x1 (r,), x2 (p,) gives an int tau and zeta (p,); a batch
-    x1 (B, r), x2 (B, p) gives tau (B,) and zeta (B, p). The push is
-    ``gmm_push`` with one observation.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    X1, X2 = np.atleast_2d(x1), np.atleast_2d(x2)
-    if (
-        x1.ndim != x2.ndim
-        or X2.shape[1:] != (map.phi_dim,)
-        or X1.shape != (X2.shape[0], map.label_dim)
-    ):
-        raise ValueError("dimension mismatch")
-    tau, zeta = gmm_push(map, X1, X2)
-    if x2.ndim == 1:
-        return int(tau[0, 0]), zeta[0]
-    return tau[:, 0], zeta
-
-
 def gmm_push(map, x1_blocks, x2):
     """Per-observation labels and the averaged continuous part, for either
     mixed family.
@@ -254,13 +233,14 @@ def mixed_logdet(map, tau, x2) -> float:
     return float(logdet[0])
 
 
-def conditional_prob_estimate(map, tau, x2, n_inner: int, seed: int, gamma: float = 10.0) -> float:
+def conditional_prob_estimate(map, tau, x2, n_inner: int, seed: int) -> float:
     """Monte Carlo softmax estimate of P(tau | x2) under the reference.
 
-    Averages, over reference label draws z, the gamma-softmax weight of each
-    observation's label among its scores ``label_scores(z) + phi_k(x2)``, and
-    multiplies the observations' averages. Smooth in the map parameters;
-    exact (=1) when there is a single category.
+    Averages, over reference label draws z, the ``CONDITIONAL_GAMMA``-softmax
+    weight of each observation's label among its scores
+    ``label_scores(z) + phi_k(x2)``, and multiplies the observations'
+    averages. Smooth in the map parameters; exact (=1) when there is a
+    single category.
     """
     if n_inner < 1:
         raise ValueError("n_inner must be >= 1")
@@ -268,7 +248,7 @@ def conditional_prob_estimate(map, tau, x2, n_inner: int, seed: int, gamma: floa
     labels = np.asarray(tau, dtype=int).reshape(map.n_obs)
     vals = map.bank.values(x2[None, :])[0].reshape(map.n_obs, map.K)
     Z = stream(seed, 5).standard_normal((n_inner, map.label_dim))
-    W = softmax(gamma * (map.label_scores(Z) + vals), axis=2)
+    W = softmax(CONDITIONAL_GAMMA * (map.label_scores(Z) + vals), axis=2)
     per_obs = W[:, np.arange(map.n_obs), labels].mean(axis=0)
     return float(np.prod(per_obs))
 

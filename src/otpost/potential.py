@@ -32,9 +32,6 @@ __all__ = [
     "activation_second_deriv",
     "activation_antiderivative",
     "transport_hard",
-    "transport_smooth",
-    "objective_sample",
-    "param_grad",
     "map_to_json",
     "map_from_json",
 ]
@@ -373,14 +370,7 @@ class AffineMap:
 
 
 # ---------------------------------------------------------------------------
-# single-point operations
-
-
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
+# transport
 
 
 def push_rows(bank: PotentialBank, X, offsets=None, n_groups: int = 1):
@@ -431,9 +421,9 @@ def push_rows(bank: PotentialBank, X, offsets=None, n_groups: int = 1):
 def transport_hard(map: MaxPotentialMap, x) -> tuple[np.ndarray, int]:
     """Gradient of the winning local potential and its index, for one point
     (p,) or a batch (B, p); ties go to the lowest index."""
-    X, single = _as_batch(x)
-    winners, out = push_rows(map.bank, X)
-    return (out[0], int(winners[0, 0])) if single else (out, winners[:, 0])
+    x = np.asarray(x, dtype=float)
+    winners, out = push_rows(map.bank, np.atleast_2d(x))
+    return (out[0], int(winners[0, 0])) if x.ndim == 1 else (out, winners[:, 0])
 
 
 def softmax(z: np.ndarray, axis: int) -> np.ndarray:
@@ -512,40 +502,6 @@ def smooth_batch(map: MaxPotentialMap, X: np.ndarray):
     return value, J, logdet, ok
 
 
-def transport_smooth(map: MaxPotentialMap, x) -> tuple[np.ndarray, np.ndarray, float]:
-    """Softmax-weighted transport value, J and its log-determinant, for one
-    point. J is the omega-weighted local Hessians (see ``smooth_batch``), the
-    value's Jacobian only when L = 1."""
-    X, single = _as_batch(x)
-    if not single:
-        raise ValueError("transport_smooth takes a single point; see smooth_batch")
-    value, J, logdet, ok = smooth_batch(map, X)
-    if not ok[0]:
-        raise SingularJacobian(x)
-    return value[0], J[0], float(logdet[0])
-
-
-def objective_sample(map, target, x) -> float:
-    """log pi~(T(x)) + log det J_T(x), the per-sample training objective."""
-    x = np.asarray(x, dtype=float)
-    if target.dim != map.dim:
-        raise ValueError("target dimension does not match map dimension")
-    if isinstance(map, AffineMap):
-        return float(target.log_unnorm(map.apply(x)) + map.logdet())
-    value, _, logdet = transport_smooth(map, x)
-    return float(target.log_unnorm(value) + logdet)
-
-
-def objective_batch(map, target, X: np.ndarray):
-    """Per-sample objective values plus a validity mask."""
-    X = np.asarray(X, dtype=float)
-    if isinstance(map, AffineMap):
-        vals = target.log_unnorm(map.apply(X)) + map.logdet()
-        return vals, np.ones(X.shape[0], dtype=bool)
-    value, _, logdet, ok = smooth_batch(map, X)
-    return np.where(ok, target.log_unnorm(value) + logdet, -np.inf), ok
-
-
 # ---------------------------------------------------------------------------
 # analytic parameter derivatives
 
@@ -576,12 +532,6 @@ def param_grad_detail(map: MaxPotentialMap, target, X: np.ndarray):
     per_sample = _param_grads(map, G, *(a[ok] for a in (X, s, omega, grads, hess, chol)))
     objs = np.where(ok, target.log_unnorm(value) + logdet, -np.inf)
     return per_sample.mean(axis=0), objs, int(np.sum(~ok))
-
-
-def param_grad(map: MaxPotentialMap, target, batch):
-    """Analytic gradient of the batch-mean objective w.r.t. all parameters."""
-    X = batch.data if hasattr(batch, "data") else np.asarray(batch, dtype=float)
-    return param_grad_detail(map, target, X)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .potential import (  # noqa: F401 (smooth_batch, smooth_param_grads)
     SingularJacobian,
     _param_grads,
     _smooth_pass,
-    objective_batch,
     param_grad_detail,
     smooth_batch,
     smooth_param_grads,
@@ -39,8 +38,6 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "Adam",
-    "mc_objective",
-    "sinkhorn_divergence",
     "init_by_sinkhorn",
     "train",
     "train_affine",
@@ -92,24 +89,18 @@ class TrainConfig:
         if self.batch_size < 1 or self.max_iters < 1 or self.learning_rate <= 0:
             raise ValueError("invalid training configuration")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
         """The config a JSON ``train`` object describes; absent keys take the
-        dataclass defaults. Unknown keys raise TypeError, bad values ValueError."""
-        doc = dict(doc)
+        dataclass defaults. Unknown keys raise TypeError, bad values ValueError.
+        Counts and seeds are read as ints: JSON schema integers include 8.0."""
+        doc = {k: int(v) if k in ("batch_size", "max_iters", "seed") else v for k, v in doc.items()}
         sk, st = doc.pop("sinkhorn", None), doc.pop("stop", None)
         return cls(
             **doc,
-            sinkhorn=None if sk is None else SinkhornConfig(**sk),
+            sinkhorn=None if sk is None else SinkhornConfig(**{k: int(v) for k, v in sk.items()}),
             stop=StopConfig(**(st or {})),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainConfig":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass
@@ -147,15 +138,6 @@ class Adam(object):
         m_hat = self.m / (1 - self.b1**self.t)
         v_hat = self.v / (1 - self.b2**self.t)
         return -self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def mc_objective(map, target: TargetDensity, batch) -> float:
-    """Batch mean of the per-sample objective (larger is better)."""
-    X = batch.data if isinstance(batch, SampleMatrix) else np.asarray(batch, dtype=float)
-    vals, ok = objective_batch(map, target, X)
-    if not np.any(ok):
-        raise RuntimeError("all batch points had a singular Jacobian")
-    return float(np.mean(vals[ok]))
 
 
 # ---------------------------------------------------------------------------
@@ -259,31 +241,11 @@ def _ot_entropic(A, B, epsilon, iters, tol=1e-6):
     return value, P, viol
 
 
-def sinkhorn_divergence(A, B, epsilon: float, iters: int = 5000, tol: float = 1e-6):
-    """Debiased entropic OT divergence and its gradient w.r.t. A's points.
-
-    S(A,B) = OT_eps(A,B) - OT_eps(A,A)/2 - OT_eps(B,B)/2 on uniform weights
-    and squared Euclidean cost. The gradient uses the converged couplings
-    (envelope theorem on the dual value).
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape[1] != B.shape[1]:
-        raise ValueError("dimension mismatch")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    partial, grad = _divergence_grad(A, B, epsilon, iters, tol)
-    v_bb, _, viol = _ot_entropic(B, B, epsilon, iters, tol)
-    if viol > tol:
-        raise SinkhornNonConvergence(viol)
-    return partial - 0.5 * v_bb, grad
-
-
 def _divergence_grad(A, B, epsilon, iters, tol):
     """The divergence's terms that depend on A, OT_eps(A,B) - OT_eps(A,A)/2,
-    and its gradient w.r.t. A; skips the B-B solve, which is constant in A."""
+    and its gradient w.r.t. A; skips the B-B solve, which is constant in A.
+    The gradient uses the converged couplings (envelope theorem on the dual
+    value); ``metrics.w2_entropic`` is the root of the full divergence."""
     v_ab, P_ab, viol1 = _ot_entropic(A, B, epsilon, iters, tol)
     v_aa, P_aa, viol2 = _ot_entropic(A, A, epsilon, iters, tol)
     worst = max(viol1, viol2)

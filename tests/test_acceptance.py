@@ -13,17 +13,11 @@ import pytest
 from scipy.stats import kstest
 
 from otpost import experiments, inference, metrics, trainer
-from otpost.potential import (
-    objective_sample,
-    param_grad,
-    smooth_batch,
-    transport_hard,
-    transport_smooth,
-)
+from otpost.potential import param_grad_detail, smooth_batch, transport_hard
 from otpost.rng import stream
 from otpost.target import TargetDensity, std_normal
 from tests import conftest
-from tests.test_potential import random_map, unit_loop_value
+from tests.test_potential import mean_objective, random_map, unit_loop_value
 
 pytestmark = pytest.mark.acceptance
 
@@ -123,12 +117,11 @@ def test_criterion_7_property_suites():
     mp = random_map(2, 2, 2, seed=77)
     tgt = std_normal(2)
     X = stream(78, 0).standard_normal((12, 2))
-    g = param_grad(mp, tgt, X)
+    g = param_grad_detail(mp, tgt, X)[0]
     theta0 = mp.flat_params()
 
     def mean_obj(theta):
-        m = mp.with_flat_params(theta)
-        return np.mean([objective_sample(m, tgt, x) for x in X])
+        return mean_objective(mp.with_flat_params(theta), tgt, X)
 
     h = 1e-6
     worst_g = 0.0
@@ -143,12 +136,12 @@ def test_criterion_7_property_suites():
     # finite-difference Jacobian (exact for L=1), abs err <= 1e-4
     mp1 = random_map(2, 1, 3, seed=80)
     worst_j = 0.0
-    for x in stream(81, 0).standard_normal((4, 2)):
-        _, J, _ = transport_smooth(mp1, x)
+    for x in stream(81, 0).standard_normal((4, 1, 2)):
+        J = smooth_batch(mp1, x)[1][0]
         for j in range(2):
             e = np.zeros(2)
             e[j] = 1e-5
-            fd = (transport_smooth(mp1, x + e)[0] - transport_smooth(mp1, x - e)[0]) / 2e-5
+            fd = (smooth_batch(mp1, x + e)[0][0] - smooth_batch(mp1, x - e)[0][0]) / 2e-5
             worst_j = max(worst_j, np.max(np.abs(fd - J[:, j])))
     details.append(f"jac FD {worst_j:.2e}<=1e-4")
     assert worst_j <= 1e-4

@@ -222,6 +222,47 @@ def test_invert_dimension_mismatch_exits_2(tmp_path, trained_map):
     assert main(["invert", "--map", trained_map, "--theta0", "0,0,0"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("family", ["semidiscrete", "gmm_meanfield"])
+@pytest.mark.parametrize("command", ["invert", "quantiles"])
+def test_center_outward_command_on_a_mixed_map_exits_2(tmp_path, capsys, command, family):
+    # center-outward inference needs an affine or maxpot map
+    from otpost import mixed
+
+    mp = (mixed.random_semidiscrete_map(K=2, p=2, M=2, seed=3) if family == "semidiscrete"
+          else mixed.random_gmm_map(n_obs=2, K=2, d=1, M=2, seed=4, block_split=True))
+    path = os.path.join(tmp_path, "map.json")
+    with open(path, "w") as fh:
+        fh.write(mixed.mixed_map_to_json(mp))
+    out = os.path.join(tmp_path, "out")
+    os.makedirs(out)
+    argv = {"invert": ["invert", "--map", path, "--theta0", "0,0", "--out", f"{out}/i.json"],
+            "quantiles": ["quantiles", "--map", path, "--out-dir", f"{out}/q"]}[command]
+    assert main(argv) == EXIT_CONFIG
+    assert f"needs an affine or maxpot map, not a {family} map" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("field", ["batch_size", "max_iters", "seed", "n_target_samples",
+                                   "init_steps"])
+def test_train_reads_integral_floats_as_ints(tmp_path, field):
+    # jsonschema's integer accepts 8.0: the config trains as the one with 8
+    def map_text(number):
+        train = {"batch_size": 16, "max_iters": 3, "seed": 2,
+                 "sinkhorn": {"n_target_samples": 8, "init_steps": 2}}
+        doc = train["sinkhorn"] if field in train["sinkhorn"] else train
+        doc[field] = number(doc[field])
+        out = os.path.join(tmp_path, number.__name__)
+        cfg = write_config(tmp_path, {
+            "target": {"kind": "two_ball"}, "map": {"family": "maxpot", "L": 2, "M": 2},
+            "train": train, "out_dir": out,
+        }, name=f"cfg_{number.__name__}.json")
+        assert main(["train", "--config", cfg]) == EXIT_OK
+        with open(os.path.join(out, "map.json")) as fh:
+            return fh.read()
+
+    assert map_text(float) == map_text(int)
+
+
 def reference_config(tmp_path, target, family="maxpot"):
     """A training config; `otpost reference` samples the posterior of its target."""
     return write_config(

@@ -314,11 +314,11 @@ def test_sample_mixed_maps_chunked_match_rows(N):
     from unittest import mock
 
     from otpost import mixed, potential
-    from tests.test_mixed import gmm_push_rows, push_mixed_rows
+    from tests.test_mixed import gmm_push_rows, semidiscrete_push_rows
 
     sd = mixed.random_semidiscrete_map(K=3, p=2, M=3, seed=56)
     gm = mixed.random_gmm_map(n_obs=4, K=3, d=2, M=2, seed=57)
-    for mp, push_rows, r, n_tau in ((sd, push_mixed_rows, 3, 1), (gm, gmm_push_rows, 12, 4)):
+    for mp, push_rows, r, n_tau in ((sd, semidiscrete_push_rows, 3, 1), (gm, gmm_push_rows, 12, 4)):
         with mock.patch.object(potential, "PUSH_CHUNK_ELEMENTS", 7 * mp.bank.L * mp.bank.M):
             s = sample(mp, N, seed=12)
         X = stream(12, 0).standard_normal((N, r + mp.phi_dim))

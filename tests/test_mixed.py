@@ -25,7 +25,6 @@ from otpost.mixed import (
     mixed_map_from_json,
     mixed_map_to_json,
     mixed_objective_grad,
-    push_mixed,
     random_gmm_map,
     random_semidiscrete_map,
     reference_dim,
@@ -60,8 +59,8 @@ def test_push_mixed_ties_go_to_lowest_index():
     # two identical potentials, x1 = 0: scores tie, category 0 wins
     mp = random_semidiscrete_map(K=2, p=2, M=2, seed=1)
     mp = SemiDiscreteMap(embedding=mp.embedding, bank=take_locals(mp.bank, [0, 0]), kappa=1.0)
-    tau, zeta = push_mixed(mp, np.zeros(2), np.array([0.3, -0.4]))
-    assert tau == 0
+    labels, _ = gmm_push(mp, np.zeros(2), np.array([0.3, -0.4]))
+    assert labels.tolist() == [0]
 
 
 def test_push_mixed_argmax_follows_x1():
@@ -70,8 +69,8 @@ def test_push_mixed_argmax_follows_x1():
     for k in range(3):
         x1 = np.zeros(3)
         x1[k] = 50.0
-        tau, zeta = push_mixed(mp, x1, x2)
-        assert tau == k
+        labels, zeta = gmm_push(mp, x1, x2)
+        assert labels.tolist() == [k]
         assert np.allclose(zeta, mp.kappa * unit_loop_grad(mp.bank, k, x2))
 
 
@@ -85,7 +84,7 @@ def test_gmm_push_identical_grids_pass_gradient_through():
     assert np.allclose(zeta, unit_loop_grad(base.bank, 0, x2))
 
 
-def push_mixed_rows(map, X1, X2):
+def semidiscrete_push_rows(map, X1, X2):
     """Per-row reference: all local values and gradients of one row, then
     the winner's gradient."""
     taus, zetas = [], []
@@ -139,17 +138,17 @@ def test_push_mixed_batch_matches_rows(K, p, M, seed, B, chunk_rows):
     X1 = rg.standard_normal((B, K))
     X2 = 2.0 * rg.standard_normal((B, p))
     with mock.patch.object(potential, "PUSH_CHUNK_ELEMENTS", chunk_rows * K * M):
-        tau, zeta = push_mixed(mp, X1, X2)
-    want_tau, want_zeta = push_mixed_rows(mp, X1, X2)
-    assert tau.shape == (B,) and zeta.shape == (B, p)
-    assert np.array_equal(tau, want_tau)
+        labels, zeta = gmm_push(mp, X1, X2)
+    want_tau, want_zeta = semidiscrete_push_rows(mp, X1, X2)
+    assert labels.shape == (B, 1) and zeta.shape == (B, p)
+    assert np.array_equal(labels[:, 0], want_tau)
     np.testing.assert_allclose(zeta, want_zeta, rtol=0, atol=1e-12)
 
 
 def test_single_point_pushes_keep_their_shapes():
     sd = random_semidiscrete_map(K=3, p=2, M=2, seed=24)
-    tau, zeta = push_mixed(sd, np.zeros(3), np.array([0.3, -0.1]))
-    assert isinstance(tau, int) and zeta.shape == (2,)
+    labels, zeta = gmm_push(sd, np.zeros(3), np.array([0.3, -0.1]))
+    assert labels.shape == (1,) and zeta.shape == (2,)
     gm = random_gmm_map(n_obs=4, K=3, d=2, M=2, seed=25)
     x2 = stream(25, 1).standard_normal(6)
     for x1 in (np.zeros(12), np.zeros((4, 3))):
@@ -157,7 +156,7 @@ def test_single_point_pushes_keep_their_shapes():
         assert labels.shape == (4,) and zeta.shape == (6,)
         assert np.issubdtype(labels.dtype, np.integer)
     with pytest.raises(ValueError):
-        push_mixed(sd, np.zeros(3), np.zeros((5, 2)))
+        gmm_push(sd, np.zeros(3), np.zeros((5, 2)))
     with pytest.raises(ValueError):
         gmm_push(gm, np.zeros(12), np.zeros(5))
 
@@ -167,8 +166,8 @@ def test_batched_pushes_send_ties_to_lowest_index():
     sd = SemiDiscreteMap(embedding=sd.embedding, bank=take_locals(sd.bank, [1, 1, 1]))
     X1 = np.zeros((5, 3))
     X1[3, 2] = 1.0  # one row breaks the tie toward category 2
-    tau, _ = push_mixed(sd, X1, stream(26, 1).standard_normal((5, 2)))
-    assert tau.tolist() == [0, 0, 0, 2, 0]
+    labels, _ = gmm_push(sd, X1, stream(26, 1).standard_normal((5, 2)))
+    assert labels[:, 0].tolist() == [0, 0, 0, 2, 0]
     base = random_gmm_map(n_obs=3, K=3, d=1, M=2, seed=27)
     gm = MeanFieldGmmMap(n_obs=3, K=3, d=1, bank=take_locals(base.bank, [4] * 9))
     X1 = np.zeros((4, 9))
@@ -187,14 +186,14 @@ def test_mixed_logdet_matches_numerical_jacobian():
     mp = random_semidiscrete_map(K=2, p=2, M=3, seed=5, kappa=0.7)
     x1 = np.array([3.0, 0.0])
     x2 = np.array([0.4, -0.2])
-    tau, _ = push_mixed(mp, x1, x2)
+    tau, _ = gmm_push(mp, x1, x2)
     h = 1e-6
     J = np.empty((2, 2))
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
-        zp = push_mixed(mp, x1, x2 + e)[1]
-        zm = push_mixed(mp, x1, x2 - e)[1]
+        zp = gmm_push(mp, x1, x2 + e)[1]
+        zm = gmm_push(mp, x1, x2 - e)[1]
         J[:, j] = (zp - zm) / (2 * h)
     want = np.log(abs(np.linalg.det(J)))
     assert abs(mixed_logdet(mp, tau, x2) - want) <= 1e-6
@@ -360,7 +359,7 @@ def test_mixed_objective_grad_skips_rank_deficient_hessians():
     assert grad.shape == flat_params(mp).shape
     # mixed_logdet decides singularity by the same Cholesky rule: it raises
     # on exactly the skipped rows, although slogdet gives some of them +1
-    taus, _ = push_mixed(mp, X[:, :K], X[:, K:])
+    taus, _ = gmm_push(mp, X[:, :K], X[:, K:])
     raised = np.zeros(40, dtype=bool)
     for b in range(40):
         try:
@@ -388,9 +387,9 @@ def test_semidiscrete_is_the_one_observation_meanfield_case():
     np.testing.assert_array_equal(got[1], want[1])
     assert got[2] == want[2]
     # and through every other mixed operation
-    taus, zetas = push_mixed(sd, X[:, :K], X[:, K:])
+    taus, zetas = gmm_push(sd, X[:, :K], X[:, K:])
     labels, zetas_gm = gmm_push(gm, X[:, :K], X[:, K:])
-    assert np.array_equal(labels, taus[:, None])
+    assert np.array_equal(labels, taus)
     np.testing.assert_array_equal(zetas, zetas_gm)
     np.testing.assert_array_equal(sample(sd, 50, seed=3).data, sample(gm, 50, seed=3).data)
     for b in range(5):

@@ -1,6 +1,9 @@
-"""RNG streams, sample matrices, SVG plotting, experiment helpers."""
+"""RNG streams, sample matrices, SVG plotting, experiment helpers, exports."""
 
+import ast
+import importlib
 import os
+import pkgutil
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -105,3 +108,22 @@ def test_svg_overlay_valid_xml_and_counts(tmp_path):
 def test_svg_overlay_requires_content(tmp_path):
     with pytest.raises(ValueError):
         svg_overlay(os.path.join(tmp_path, "e.svg"))
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry would make `from otpost.<module> import *` raise
+    import otpost
+
+    for info in pkgutil.iter_modules(otpost.__path__):
+        module = importlib.import_module(f"otpost.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"otpost.{info.name}.__all__ names {name}"
+    with open(otpost.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = [(node.module, a.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert imported
+    # each package export is a public name of the module it comes from
+    for module, name in imported:
+        source = importlib.import_module(f"otpost.{module}")
+        assert hasattr(otpost, name) and name in source.__all__, f"otpost.{module}.{name}"
