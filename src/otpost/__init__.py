@@ -33,10 +33,8 @@ from .trainer import (
     train_mixed,
 )
 from .mixed import (
-    Embedding,
-    MeanFieldGmmMap,
+    MixedMap,
     MixedTarget,
-    SemiDiscreteMap,
     conditional_prob_estimate,
     gmm_posterior_logdensity,
     gmm_push,

@@ -222,7 +222,7 @@ def cmd_train(args):
         elif family == "semidiscrete":
             mp = mixed.random_semidiscrete_map(
                 K=len(spec), p=tgt.dim, M=M, seed=seed,
-                kappa=float(mcfg.get("kappa", 1.0)),
+                kappa=mcfg.get("kappa"),
                 activation=activation,
             )
             mp, report = trainer.train_mixed(mp, tgt, tconf)
@@ -281,11 +281,11 @@ def _load_map(path):
 
 def _load_continuous_map(path):
     """The affine or maxpot map of a map file: center-outward inference reads no mixed map."""
-    from .mixed import MeanFieldGmmMap, SemiDiscreteMap
+    from .mixed import MixedMap
 
     mp = _load_map(path)
-    if isinstance(mp, (SemiDiscreteMap, MeanFieldGmmMap)):
-        family = "semidiscrete" if isinstance(mp, SemiDiscreteMap) else "gmm_meanfield"
+    if isinstance(mp, MixedMap):
+        family = "semidiscrete" if mp.n_obs == 1 else "gmm_meanfield"
         raise ConfigError(f"{path}: center-outward inference needs an affine or maxpot map, "
                           f"not a {family} map")
     return mp

@@ -422,7 +422,7 @@ def _match_orthant_offsets(pi):
 
 
 def informed_gmm_map(data, prior: GmmPrior, K, label_marginals,
-                     mean_sd) -> mixed.MeanFieldGmmMap:
+                     mean_sd) -> mixed.MixedMap:
     """Analytic initialization of the mean-field GMM map.
 
     Label offsets reproduce the given per-observation label marginals under
@@ -460,7 +460,7 @@ def informed_gmm_map(data, prior: GmmPrior, K, label_marginals,
     v = np.zeros((n * K, n_units))
     v[:, -1] = offsets.ravel()
     bank = PotentialBank(alpha, beta, np.zeros((n * K, n_units)), v, Activation.TANH)
-    return mixed.MeanFieldGmmMap(n_obs=n, K=K, d=d, bank=bank, kappa=kappa)
+    return mixed.MixedMap(n_obs=n, K=K, bank=bank, kappa=kappa)
 
 
 def run_gmm(delta=6.0, out_dir=None, seed=41) -> dict:

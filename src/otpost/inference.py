@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtr, chdtrc, gammaincinv
 
-from .mixed import MeanFieldGmmMap, SemiDiscreteMap, gmm_push
+from .mixed import MixedMap, gmm_push
 from .potential import AffineMap, MaxPotentialMap, transport_hard
 from .rng import stream
 from .samples import SampleMatrix
@@ -75,7 +75,7 @@ def sample(map, N: int, seed: int) -> SampleMatrix:
     if isinstance(map, (AffineMap, MaxPotentialMap)):
         X = rg.standard_normal((N, map.dim))
         return SampleMatrix.continuous(_push_hard(map, X).reshape(N, map.dim))
-    if isinstance(map, (SemiDiscreteMap, MeanFieldGmmMap)):
+    if isinstance(map, MixedMap):
         r = map.label_dim
         X = rg.standard_normal((N, r + map.phi_dim))
         return SampleMatrix.mixed(*gmm_push(map, X[:, :r], X[:, r:]))

@@ -1,12 +1,11 @@
 """Semi-discrete transport for mixed discrete-continuous parameters.
 
-A mixed map takes a reference draw (x1, x2) with x1 in R^r and x2 in R^p
-and outputs a category tau = argmax_k {<x1, b_k> + phi_k(x2)} together with
-a continuous part zeta = kappa * grad phi_tau(x2). Categories are embedded
-as the vectors b_k. The mean-field variant assigns one such argmax per
-observation (labels) and averages the continuous gradients. Both state
-one label layout (n_obs, K, label_dim, label_scores) that every mixed
-operation reads, so a semi-discrete map is the one-observation case.
+A mixed map takes a reference draw (x1, x2) with x1 in R^{n_obs K} and x2
+in R^p. Each observation i gets the label tau_i = argmax_k {x1[i, k] +
+phi_{ik}(x2)}, and the continuous part is zeta = kappa * sum_i grad
+phi_{i tau_i}(x2). A semi-discrete map, one categorical coordinate with
+one-hot category embeddings, is the one-observation case; the mean-field
+map of a mixture-model posterior gives each observation its own label.
 """
 
 from __future__ import annotations
@@ -35,9 +34,7 @@ from .rng import stream
 CONDITIONAL_GAMMA = 10.0  # the sharpness of conditional_prob_estimate's softmax
 
 __all__ = [
-    "Embedding",
-    "SemiDiscreteMap",
-    "MeanFieldGmmMap",
+    "MixedMap",
     "MixedTarget",
     "GmmPrior",
     "conditional_prob_estimate",
@@ -46,7 +43,6 @@ __all__ = [
     "gmm_posterior_logdensity",
     "gmm_mixed_target",
     "discrete_mixture_target",
-    "flat_params",
     "with_flat_params",
     "reference_dim",
     "mixed_objective_grad",
@@ -56,66 +52,30 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Embedding:
-    """Category embedding vectors b_k, one row per category."""
+class MixedMap:
+    """Per-observation labels over K category potentials plus a continuous part.
 
-    kind: str  # "one_hot" or "ordinal"
-    vectors: np.ndarray  # (K, r)
-
-    def __post_init__(self):
-        V = np.atleast_2d(np.asarray(self.vectors, dtype=float))
-        if self.kind == "one_hot":
-            if not np.array_equal(V, np.eye(V.shape[0])):
-                raise ValueError("one-hot embedding must be the identity rows")
-        elif self.kind == "ordinal":
-            if V.shape[1] != 1 or np.any(np.diff(V[:, 0]) <= 0):
-                raise ValueError("ordinal levels must be strictly increasing scalars")
-        else:
-            raise ValueError(f"unknown embedding kind {self.kind!r}")
-        object.__setattr__(self, "vectors", V)
-
-    @classmethod
-    def one_hot(cls, K: int) -> "Embedding":
-        if K < 1:
-            raise ValueError("K must be positive")
-        return cls(kind="one_hot", vectors=np.eye(K))
-
-    @classmethod
-    def ordinal(cls, levels) -> "Embedding":
-        levels = np.asarray(levels, dtype=float).reshape(-1, 1)
-        return cls(kind="ordinal", vectors=levels)
-
-    @property
-    def n_categories(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.vectors.shape[1]
-
-
-@dataclass(frozen=True)
-class SemiDiscreteMap:
-    """One categorical coordinate plus a continuous part of dimension p.
-
-    Local potential k of ``bank`` is phi_k, the potential of category k.
+    Local potential i*K + k of ``bank`` is the potential of label k of
+    observation i, and its label score is x1[i, k]. The continuous output
+    sums the winning gradients with weight kappa (default 1/n_obs, so
+    identical gradients pass through unchanged). With n_obs > 1 the
+    potentials act on R^{K d}: d coordinates for each of the K labels.
     """
 
-    embedding: Embedding
+    n_obs: int
+    K: int
     bank: PotentialBank
-    kappa: float = 1.0
+    kappa: float | None = None
 
     def __post_init__(self):
-        if self.bank.L != self.embedding.n_categories:
-            raise ValueError("need one potential per category")
-        if not self.kappa > 0:
+        if self.bank.L != self.n_obs * self.K:
+            raise ValueError("need one potential per observation and label")
+        if self.n_obs > 1 and self.bank.p % self.K:
+            raise ValueError("each potential must act on R^{K d}")
+        kappa = 1.0 / self.n_obs if self.kappa is None else float(self.kappa)
+        if not kappa > 0:
             raise ValueError("kappa must be positive")
-
-    n_obs = 1  # label layout: one observation, label scores x1 @ b_k
-
-    @property
-    def K(self) -> int:
-        return self.embedding.n_categories
+        object.__setattr__(self, "kappa", kappa)
 
     @property
     def phi_dim(self) -> int:
@@ -123,49 +83,7 @@ class SemiDiscreteMap:
 
     @property
     def label_dim(self) -> int:
-        return self.embedding.r
-
-    def label_scores(self, X1) -> np.ndarray:
-        """Label offsets (B, 1, K) of the label draws X1 (B, r)."""
-        return (X1 @ self.embedding.vectors.T)[:, None, :]
-
-
-@dataclass(frozen=True)
-class MeanFieldGmmMap:
-    """Per-observation label maps sharing one continuous block in R^{K d}.
-
-    Local potential i*K + k of ``bank`` competes for label k of observation
-    i; the continuous output averages the winning gradients with weight
-    kappa (default 1/n_obs so identical gradients pass through unchanged).
-    """
-
-    n_obs: int
-    K: int
-    d: int
-    bank: PotentialBank
-    kappa: float | None = None
-
-    def __post_init__(self):
-        if self.bank.L != self.n_obs * self.K:
-            raise ValueError("need one potential per observation and label")
-        if self.bank.p != self.K * self.d:
-            raise ValueError("each potential must act on R^{K d}")
-        kappa = 1.0 / self.n_obs if self.kappa is None else self.kappa
-        if not kappa > 0:
-            raise ValueError("kappa must be positive")
-        object.__setattr__(self, "kappa", kappa)
-
-    @property
-    def phi_dim(self) -> int:
-        return self.K * self.d
-
-    @property
-    def label_dim(self) -> int:
         return self.n_obs * self.K
-
-    def label_scores(self, X1) -> np.ndarray:
-        """Label offsets (B, n_obs, K) of the label draws X1 (B, n_obs K)."""
-        return X1.reshape(X1.shape[0], self.n_obs, self.K)
 
 
 @dataclass(frozen=True)
@@ -182,8 +100,7 @@ class MixedTarget:
 # pushes
 
 def gmm_push(map, x1_blocks, x2):
-    """Per-observation labels and the averaged continuous part, for either
-    mixed family.
+    """Per-observation labels and the averaged continuous part of a mixed map.
 
     One point x1_blocks (label_dim,), x2 (p,) gives labels (n_obs,) and zeta
     (p,); a batch x1_blocks (B, label_dim), x2 (B, p) gives labels
@@ -198,8 +115,7 @@ def gmm_push(map, x1_blocks, x2):
         raise ValueError("dimension mismatch")
     B = X2.shape[0]
     X1 = np.asarray(x1_blocks, dtype=float).reshape(B, map.label_dim)
-    offsets = map.label_scores(X1).reshape(B, map.n_obs * map.K)
-    labels, gsum = push_rows(map.bank, X2, offsets, map.n_obs)
+    labels, gsum = push_rows(map.bank, X2, X1, map.n_obs)
     zeta = map.kappa * gsum
     if single:
         return labels[0], zeta[0]
@@ -220,7 +136,7 @@ def _winner_logdet(map, s, win):
 
 def mixed_logdet(map, tau, x2) -> float:
     """log |det| of the continuous block of the mixed map Jacobian at labels
-    tau (an int, or (n_obs,) for a mean-field map).
+    tau ((n_obs,), or an int for one observation).
 
     Decided as in training (``_winner_logdet``): raises SingularJacobian
     where a Cholesky factorization rejects the winning Hessian sum.
@@ -238,7 +154,7 @@ def conditional_prob_estimate(map, tau, x2, n_inner: int, seed: int) -> float:
 
     Averages, over reference label draws z, the ``CONDITIONAL_GAMMA``-softmax
     weight of each observation's label among its scores
-    ``label_scores(z) + phi_k(x2)``, and multiplies the observations'
+    ``z[i, k] + phi_{ik}(x2)``, and multiplies the observations'
     averages. Smooth in the map parameters; exact (=1) when there is a
     single category.
     """
@@ -247,8 +163,8 @@ def conditional_prob_estimate(map, tau, x2, n_inner: int, seed: int) -> float:
     x2 = np.asarray(x2, dtype=float)
     labels = np.asarray(tau, dtype=int).reshape(map.n_obs)
     vals = map.bank.values(x2[None, :])[0].reshape(map.n_obs, map.K)
-    Z = stream(seed, 5).standard_normal((n_inner, map.label_dim))
-    W = softmax(CONDITIONAL_GAMMA * (map.label_scores(Z) + vals), axis=2)
+    Z = stream(seed, 5).standard_normal((n_inner, map.n_obs, map.K))
+    W = softmax(CONDITIONAL_GAMMA * (Z + vals), axis=2)
     per_obs = W[:, np.arange(map.n_obs), labels].mean(axis=0)
     return float(np.prod(per_obs))
 
@@ -354,10 +270,6 @@ def discrete_mixture_target(weights, means, sds) -> MixedTarget:
 # parameter flattening and training gradients
 
 
-def flat_params(map) -> np.ndarray:
-    return map.bank.flat()
-
-
 def with_flat_params(map, theta: np.ndarray):
     return replace(map, bank=map.bank.with_flat(theta))
 
@@ -382,7 +294,7 @@ def mixed_objective_grad(map, target: MixedTarget, X, gamma: float):
     B = X.shape[0]
     st = map.bank
     n, K, r = map.n_obs, map.K, map.label_dim
-    X1 = map.label_scores(X[:, :r])
+    X1 = X[:, :r].reshape(B, n, K)
     X2 = X[:, r:]
     s = st.pre(X2)
     vals = st.values(X2, s).reshape(B, n, K)
@@ -426,19 +338,17 @@ def mixed_objective_grad(map, target: MixedTarget, X, gamma: float):
 
 def mixed_map_to_json(map) -> str:
     """Versioned JSON document for mixed maps (same format version as
-    potential.map_to_json)."""
-    if not isinstance(map, (SemiDiscreteMap, MeanFieldGmmMap)):
+    potential.map_to_json): the ``semidiscrete`` layout for one
+    observation, ``gmm_meanfield`` for more."""
+    if not isinstance(map, MixedMap):
         raise TypeError(f"not a mixed map: {type(map).__name__}")
     docs = map.bank.to_docs()
-    if isinstance(map, SemiDiscreteMap):
+    if map.n_obs == 1:
         doc = {
             "version": MAP_FORMAT_VERSION,
             "family": "semidiscrete",
             "kappa": map.kappa,
-            "embedding": {
-                "kind": map.embedding.kind,
-                "vectors": map.embedding.vectors.tolist(),
-            },
+            "embedding": {"kind": "one_hot", "vectors": np.eye(map.K).tolist()},
             "phis": docs,
         }
     else:
@@ -447,7 +357,7 @@ def mixed_map_to_json(map) -> str:
             "family": "gmm_meanfield",
             "n_obs": map.n_obs,
             "K": map.K,
-            "d": map.d,
+            "d": map.phi_dim // map.K,
             "kappa": map.kappa,
             "phis": [docs[i * map.K : (i + 1) * map.K] for i in range(map.n_obs)],
         }
@@ -456,8 +366,9 @@ def mixed_map_to_json(map) -> str:
 
 def mixed_map_from_json(text: str):
     """Map from a mixed_map_to_json document. Every array and scalar must
-    be finite, and a gmm file's n_obs, K and d must match its potentials;
-    otherwise ValueError names the field."""
+    be finite, a semidiscrete file's embedding must be the one-hot identity
+    with one row per potential, and a gmm file's n_obs, K and d must match
+    its potentials; otherwise ValueError names the field."""
     doc = json.loads(text)
     if doc.get("version") != MAP_FORMAT_VERSION:
         raise ValueError(f"unsupported map format version {doc.get('version')!r}")
@@ -465,13 +376,14 @@ def mixed_map_from_json(text: str):
     if family not in ("semidiscrete", "gmm_meanfield"):
         raise ValueError(f"unknown mixed map family {family!r}")
     kappa = float(_finite(doc["kappa"], "kappa"))
-    if family == "semidiscrete":
-        emb = Embedding(
-            kind=doc["embedding"]["kind"],
-            vectors=_finite(doc["embedding"]["vectors"], "embedding.vectors"),
-        )
-        return SemiDiscreteMap(embedding=emb, bank=PotentialBank.from_docs(doc["phis"]), kappa=kappa)
     phis = doc["phis"]
+    if family == "semidiscrete":
+        emb = doc["embedding"]
+        vectors = _finite(emb["vectors"], "embedding.vectors")
+        if emb["kind"] != "one_hot" or not np.array_equal(vectors, np.eye(len(phis))):
+            raise ValueError(f"embedding must be one_hot: the identity with one row "
+                             f"per potential ({len(phis)})")
+        return MixedMap(n_obs=1, K=len(phis), bank=PotentialBank.from_docs(phis), kappa=kappa)
     _check_declared(doc, "n_obs", len(phis))
     for row in phis:
         _check_declared(doc, "K", len(row))
@@ -479,7 +391,7 @@ def mixed_map_from_json(text: str):
     K, d = int(doc["K"]), int(doc["d"])
     if bank.p != K * d:
         raise ValueError(f"d is declared {doc['d']!r}, but the potentials act on R^{bank.p}, not R^(K d)")
-    return MeanFieldGmmMap(n_obs=int(doc["n_obs"]), K=K, d=d, bank=bank, kappa=kappa)
+    return MixedMap(n_obs=int(doc["n_obs"]), K=K, bank=bank, kappa=kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +408,9 @@ def _random_bank(dim, M, seed_paths, activation, scale=0.3):
     )
 
 
-def random_semidiscrete_map(K, p, M, seed, kappa=1.0, activation=None):
+def random_semidiscrete_map(K, p, M, seed, kappa=None, activation=None):
     bank = _random_bank(p, M, [(seed, 3, k) for k in range(K)], activation)
-    return SemiDiscreteMap(embedding=Embedding.one_hot(K), bank=bank, kappa=kappa)
+    return MixedMap(n_obs=1, K=K, bank=bank, kappa=kappa)
 
 
 def random_gmm_map(n_obs, K, d, M, seed, kappa=None, block_split=False, activation=None):
@@ -510,4 +422,4 @@ def random_gmm_map(n_obs, K, d, M, seed, kappa=None, block_split=False, activati
         mask = np.kron(np.eye(K), np.ones(d))  # row k: ones on the k-th d-block
         mask = np.tile(mask, (n_obs, 1))[:, None, :]  # (n_obs K, 1, p)
         bank = replace(bank, alpha=bank.alpha * mask, beta=bank.beta * mask)
-    return MeanFieldGmmMap(n_obs=n_obs, K=K, d=d, bank=bank, kappa=kappa)
+    return MixedMap(n_obs=n_obs, K=K, bank=bank, kappa=kappa)

@@ -283,7 +283,7 @@ class PotentialBank:
         if len({len(row) for row in units}) != 1:
             raise ValueError("all local potentials must have the same number of units")
         alpha, beta, w, v = (
-            _finite(np.array([[u[key] for u in row] for row in units], dtype=float), key)
+            _finite([[u[key] for u in row] for row in units], key)
             for key in ("alpha", "beta", "w", "v")
         )
         return cls(alpha, beta, w, v, Activation(acts.pop()))
@@ -299,6 +299,7 @@ class MaxPotentialMap:
     def __post_init__(self):
         if not self.gamma_sharp > 0:
             raise ValueError("gamma_sharp must be positive")
+        object.__setattr__(self, "gamma_sharp", float(self.gamma_sharp))
 
     @property
     def dim(self) -> int:
@@ -562,9 +563,12 @@ def map_to_json(map) -> str:
 
 
 def _finite(value, field):
-    """``value`` as a float array; a NaN or inf entry raises ValueError
-    naming ``field``, the map file's key for it."""
-    arr = np.asarray(value, dtype=float)
+    """``value`` as a float array; a ragged or non-numeric value, or a NaN
+    or inf entry, raises ValueError naming ``field``, the map file's key for it."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} is not a number or a rectangular array of numbers") from None
     if not np.isfinite(arr).all():
         raise ValueError(f"{field} has a non-finite entry")
     return arr

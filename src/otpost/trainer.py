@@ -407,19 +407,17 @@ def train_affine(target: TargetDensity, config: TrainConfig, init: AffineMap | N
 def train_mixed(map, target, config: TrainConfig):
     """ADAM on the mixed-parameter objective (discrete + continuous parts).
 
-    ``map`` is a SemiDiscreteMap or MeanFieldGmmMap, ``target`` a MixedTarget.
+    ``map`` is a MixedMap, ``target`` a MixedTarget.
     The same reference batch supplies the inner draws for the conditional
     label-probability estimate.
     """
     from . import mixed as mx
 
-    cur = map
-
     def grad_fn(theta, X):
-        m = mx.with_flat_params(cur, theta)
+        m = mx.with_flat_params(map, theta)
         # maximize -mixed objective (the mixed form is minimized)
         grad, objs, skipped = mx.mixed_objective_grad(m, target, X, config.gamma_sharp)
         return -grad, -objs, skipped
 
-    theta, report = _run_adam(mx.flat_params(map), grad_fn, mx.reference_dim(map), config)
-    return mx.with_flat_params(cur, theta), report
+    theta, report = _run_adam(map.bank.flat(), grad_fn, mx.reference_dim(map), config)
+    return mx.with_flat_params(map, theta), report

@@ -263,6 +263,28 @@ def test_train_reads_integral_floats_as_ints(tmp_path, field):
     assert map_text(float) == map_text(int)
 
 
+@pytest.mark.parametrize("target, mapdoc, section, field, value", [
+    ({"kind": "std_normal", "params": {"dim": 2}}, {"family": "maxpot", "L": 2, "M": 2},
+     "train", "gamma_sharp", 10),
+    ({"kind": "gmm", "params": {"n_obs": 8, "K": 2}}, {"family": "gmm_meanfield"}, "map", "kappa", 1),
+], ids=["gamma_sharp", "kappa"])
+def test_train_writes_an_integral_number_as_the_float(tmp_path, target, mapdoc, section, field, value):
+    # 10 and 10.0 are one setting, so the map files are the same bytes
+    def map_text(number):
+        out = os.path.join(tmp_path, number.__name__)
+        doc = {"target": target, "map": dict(mapdoc), "train": {"max_iters": 2, "batch_size": 8},
+               "out_dir": out}
+        doc[section][field] = number(value)
+        cfg = write_config(tmp_path, doc, name=f"cfg_{number.__name__}.json")
+        assert main(["train", "--config", cfg]) == EXIT_OK
+        with open(os.path.join(out, "map.json")) as fh:
+            return fh.read()
+
+    text = map_text(int)
+    assert f'"{field}": {float(value)},' in text
+    assert text == map_text(float)
+
+
 def reference_config(tmp_path, target, family="maxpot"):
     """A training config; `otpost reference` samples the posterior of its target."""
     return write_config(
@@ -782,6 +804,9 @@ _UNIT = ("units", 1)
     ("gmm_meanfield", _set(("n_obs",), 3), "n_obs is declared 3, but the arrays give 2"),
     ("gmm_meanfield", _set(("K",), 1), "K is declared 1, but the arrays give 2"),
     ("gmm_meanfield", _set(("d",), 2), "d is declared 2, but the potentials act on R^2"),
+    ("maxpot", _set(("locals", 1) + _UNIT + ("alpha",), [0.5]), "alpha is not a number or a rectangular"),
+    ("maxpot", _set(("gamma_sharp",), "sharp"), "gamma_sharp is not a number or a rectangular"),
+    ("affine", _set(("chol_factor", 1), [0.3]), "chol_factor is not a number or a rectangular"),
 ])
 def test_sample_map_with_non_finite_or_misdeclared_field_exits_2(tmp_path, capsys, family, corrupt, message):
     doc = _affine_doc() if family == "affine" else _data_doc(family)
@@ -791,6 +816,24 @@ def test_sample_map_with_non_finite_or_misdeclared_field_exits_2(tmp_path, capsy
     assert main(["sample", "--map", path, "--n", "5", "--out", out]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert path in err and message in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("embedding", [
+    {"kind": "ordinal", "vectors": [[0.0], [1.0]]},
+    {"kind": "one_hot", "vectors": [[1.0, 0.0], [1.0, 1.0]]},
+    {"kind": "one_hot", "vectors": np.eye(3).tolist()},
+    {"kind": "one_hot", "vectors": [[1.0, 0.0], [1.0]]},
+], ids=["ordinal", "not-the-identity", "three-rows-for-two-potentials", "ragged"])
+def test_sample_semidiscrete_map_with_another_embedding_exits_2(tmp_path, capsys, embedding):
+    # a semi-discrete map embeds its categories one-hot
+    doc = _data_doc("semidiscrete")
+    doc["embedding"] = embedding
+    path = write_config(tmp_path, doc, name="map.json")
+    out = os.path.join(tmp_path, "s.csv")
+    assert main(["sample", "--map", path, "--n", "5", "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert path in err and "embedding" in err
     assert not os.path.exists(out)
 
 

@@ -19,11 +19,11 @@ FAMILIES = {
         lambda: random_maxpot_map(3, 2, 2, 7, activation=Activation.SOFTSIGN),
     ),
     "semidiscrete": (
-        mixed.mixed_map_from_json, mixed.mixed_map_to_json, mixed.flat_params,
+        mixed.mixed_map_from_json, mixed.mixed_map_to_json, lambda m: m.bank.flat(),
         lambda: mixed.random_semidiscrete_map(K=2, p=2, M=2, seed=3, kappa=0.5),
     ),
     "gmm_meanfield": (
-        mixed.mixed_map_from_json, mixed.mixed_map_to_json, mixed.flat_params,
+        mixed.mixed_map_from_json, mixed.mixed_map_to_json, lambda m: m.bank.flat(),
         lambda: mixed.random_gmm_map(n_obs=2, K=2, d=1, M=2, seed=4, block_split=True),
     ),
 }

@@ -1,5 +1,6 @@
 """Semi-discrete and mean-field mixed transport maps."""
 
+import json
 from dataclasses import replace
 from unittest import mock
 
@@ -11,13 +12,10 @@ from hypothesis import strategies as hst
 from otpost import potential, trainer
 from otpost.inference import sample
 from otpost.mixed import (
-    Embedding,
     GmmPrior,
-    MeanFieldGmmMap,
-    SemiDiscreteMap,
+    MixedMap,
     conditional_prob_estimate,
     discrete_mixture_target,
-    flat_params,
     gmm_mixed_target,
     gmm_posterior_logdensity,
     gmm_push,
@@ -41,24 +39,13 @@ def take_locals(bank, idx):
 
 
 # ---------------------------------------------------------------------------
-# embeddings and pushes
-
-
-def test_embedding_validation():
-    Embedding.one_hot(3)
-    Embedding.ordinal([0.0, 1.0, 2.5])
-    with pytest.raises(ValueError):
-        Embedding.ordinal([1.0, 1.0])
-    with pytest.raises(ValueError):
-        Embedding(kind="one_hot", vectors=np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        Embedding(kind="bogus", vectors=np.eye(2))
+# pushes
 
 
 def test_push_mixed_ties_go_to_lowest_index():
     # two identical potentials, x1 = 0: scores tie, category 0 wins
     mp = random_semidiscrete_map(K=2, p=2, M=2, seed=1)
-    mp = SemiDiscreteMap(embedding=mp.embedding, bank=take_locals(mp.bank, [0, 0]), kappa=1.0)
+    mp = replace(mp, bank=take_locals(mp.bank, [0, 0]))
     labels, _ = gmm_push(mp, np.zeros(2), np.array([0.3, -0.4]))
     assert labels.tolist() == [0]
 
@@ -77,7 +64,7 @@ def test_push_mixed_argmax_follows_x1():
 def test_gmm_push_identical_grids_pass_gradient_through():
     # all potentials identical and kappa = 1/n: zeta equals one local gradient
     base = random_gmm_map(n_obs=4, K=2, d=2, M=2, seed=3)
-    mp = MeanFieldGmmMap(n_obs=4, K=2, d=2, bank=take_locals(base.bank, [0] * 8))
+    mp = MixedMap(n_obs=4, K=2, bank=take_locals(base.bank, [0] * 8))
     assert np.isclose(mp.kappa, 0.25)
     x2 = stream(4, 0).standard_normal(4)
     labels, zeta = gmm_push(mp, np.zeros(8), x2)
@@ -89,7 +76,7 @@ def semidiscrete_push_rows(map, X1, X2):
     the winner's gradient."""
     taus, zetas = [], []
     for x1, x2 in zip(X1, X2):
-        tau = int(np.argmax(map.embedding.vectors @ x1 + map.bank.values(x2[None])[0]))
+        tau = int(np.argmax(x1 + map.bank.values(x2[None])[0]))
         taus.append(tau)
         zetas.append(map.kappa * map.bank.grads(x2[None])[0, tau])
     return np.array(taus, dtype=int), np.array(zetas).reshape(len(taus), map.phi_dim)
@@ -163,13 +150,13 @@ def test_single_point_pushes_keep_their_shapes():
 
 def test_batched_pushes_send_ties_to_lowest_index():
     sd = random_semidiscrete_map(K=3, p=2, M=2, seed=26)
-    sd = SemiDiscreteMap(embedding=sd.embedding, bank=take_locals(sd.bank, [1, 1, 1]))
+    sd = replace(sd, bank=take_locals(sd.bank, [1, 1, 1]))
     X1 = np.zeros((5, 3))
     X1[3, 2] = 1.0  # one row breaks the tie toward category 2
     labels, _ = gmm_push(sd, X1, stream(26, 1).standard_normal((5, 2)))
     assert labels[:, 0].tolist() == [0, 0, 0, 2, 0]
     base = random_gmm_map(n_obs=3, K=3, d=1, M=2, seed=27)
-    gm = MeanFieldGmmMap(n_obs=3, K=3, d=1, bank=take_locals(base.bank, [4] * 9))
+    gm = MixedMap(n_obs=3, K=3, bank=take_locals(base.bank, [4] * 9))
     X1 = np.zeros((4, 9))
     X1[1, 5] = 1.0  # observation 1 of row 1 takes label 2
     labels, _ = gmm_push(gm, X1, stream(27, 1).standard_normal((4, 3)))
@@ -224,7 +211,7 @@ def test_conditional_prob_tracks_offset():
     mp = random_semidiscrete_map(K=2, p=2, M=2, seed=7)
     v = mp.bank.v.copy()
     v[1] += 10.0
-    mp = SemiDiscreteMap(embedding=mp.embedding, bank=replace(mp.bank, v=v))
+    mp = replace(mp, bank=replace(mp.bank, v=v))
     val = conditional_prob_estimate(mp, 1, np.array([0.0, 0.0]), n_inner=256, seed=4)
     assert val > 0.95
 
@@ -288,9 +275,9 @@ def test_discrete_mixture_target_oracle():
 
 def test_flat_params_round_trip_semidiscrete():
     mp = random_semidiscrete_map(K=2, p=2, M=3, seed=12, kappa=0.5)
-    theta = flat_params(mp)
+    theta = mp.bank.flat()
     mp2 = with_flat_params(mp, theta)
-    assert np.array_equal(theta, flat_params(mp2))
+    assert np.array_equal(theta, mp2.bank.flat())
     assert mp2.kappa == 0.5
     assert reference_dim(mp) == 2 + 2
 
@@ -303,7 +290,7 @@ def test_mixed_objective_grad_finite_difference_semidiscrete():
     X = stream(14, 0).standard_normal((24, 4))
     grad, objs, skipped = mixed_objective_grad(mp, tgt, X, gamma=5.0)
     assert skipped == 0
-    theta0 = flat_params(mp)
+    theta0 = mp.bank.flat()
 
     def mean_obj(theta):
         m = with_flat_params(mp, theta)
@@ -326,7 +313,7 @@ def test_mixed_objective_grad_finite_difference_meanfield():
     tgt = gmm_mixed_target(data, prior, K=2)
     X = stream(18, 0).standard_normal((16, 3 * 2 + 2))
     grad, objs, skipped = mixed_objective_grad(mp, tgt, X, gamma=5.0)
-    theta0 = flat_params(mp)
+    theta0 = mp.bank.flat()
 
     def mean_obj(theta):
         m = with_flat_params(mp, theta)
@@ -356,7 +343,7 @@ def test_mixed_objective_grad_skips_rank_deficient_hessians():
     X = stream(23, 0).standard_normal((40, K + K * d))
     grad, objs, skipped = mixed_objective_grad(mp, tgt, X, gamma=5.0)
     assert skipped == np.sum(objs == np.inf) > 0
-    assert grad.shape == flat_params(mp).shape
+    assert grad.shape == mp.bank.flat().shape
     # mixed_logdet decides singularity by the same Cholesky rule: it raises
     # on exactly the skipped rows, although slogdet gives some of them +1
     taus, _ = gmm_push(mp, X[:, :K], X[:, K:])
@@ -367,37 +354,6 @@ def test_mixed_objective_grad_skips_rank_deficient_hessians():
         except potential.SingularJacobian:
             raised[b] = True
     assert np.array_equal(raised, objs == np.inf)
-
-
-def test_semidiscrete_is_the_one_observation_meanfield_case():
-    # one bank, one batch: a one-hot semi-discrete map and a mean-field map
-    # of one observation run the same path through mixed_objective_grad
-    K, d = 3, 2
-    sd = random_semidiscrete_map(K=K, p=K * d, M=8, seed=21, kappa=0.7)
-    gm = MeanFieldGmmMap(n_obs=1, K=K, d=d, bank=sd.bank, kappa=0.7)
-    tgt = discrete_mixture_target(
-        weights=[0.2, 0.3, 0.5], means=stream(22, 0).standard_normal((K, K * d)),
-        sds=np.ones((K, K * d)),
-    )
-    X = stream(23, 0).standard_normal((40, K + K * d))
-    assert reference_dim(sd) == reference_dim(gm) == X.shape[1]
-    got = mixed_objective_grad(sd, tgt, X, gamma=5.0)
-    want = mixed_objective_grad(gm, tgt, X, gamma=5.0)
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
-    assert got[2] == want[2]
-    # and through every other mixed operation
-    taus, zetas = gmm_push(sd, X[:, :K], X[:, K:])
-    labels, zetas_gm = gmm_push(gm, X[:, :K], X[:, K:])
-    assert np.array_equal(labels, taus)
-    np.testing.assert_array_equal(zetas, zetas_gm)
-    np.testing.assert_array_equal(sample(sd, 50, seed=3).data, sample(gm, 50, seed=3).data)
-    for b in range(5):
-        x2 = X[b, K:]
-        assert conditional_prob_estimate(sd, taus[b], x2, 64, seed=b) == conditional_prob_estimate(
-            gm, labels[b], x2, 64, seed=b
-        )
-        assert mixed_logdet(sd, taus[b], x2) == mixed_logdet(gm, labels[b], x2)
 
 
 def test_train_mixed_improves_discrete_mixture_fit():
@@ -416,18 +372,30 @@ def test_train_mixed_improves_discrete_mixture_fit():
 # serialization
 
 
+def assert_same_mixed_map(a, b):
+    assert (a.n_obs, a.K, a.kappa, a.bank.activation, a.bank.alpha.shape) == (
+        b.n_obs, b.K, b.kappa, b.bank.activation, b.bank.alpha.shape)
+    assert np.array_equal(a.bank.flat(), b.bank.flat())
+
+
 def test_mixed_map_json_round_trip():
     mp = random_semidiscrete_map(K=3, p=2, M=2, seed=22, kappa=0.3)
     mp2 = mixed_map_from_json(mixed_map_to_json(mp))
-    assert isinstance(mp2, SemiDiscreteMap)
-    assert np.array_equal(flat_params(mp), flat_params(mp2))
+    assert_same_mixed_map(mp, mp2)
     assert mp2.kappa == 0.3
 
     gm = random_gmm_map(n_obs=3, K=2, d=2, M=2, seed=23)
     gm2 = mixed_map_from_json(mixed_map_to_json(gm))
-    assert isinstance(gm2, MeanFieldGmmMap)
-    assert np.array_equal(flat_params(gm), flat_params(gm2))
-    assert (gm2.n_obs, gm2.K, gm2.d) == (3, 2, 2)
+    assert_same_mixed_map(gm, gm2)
+    assert (gm2.n_obs, gm2.K, gm2.bank.p) == (3, 2, 4)
+
+    # one observation: written in the semidiscrete layout, read back the same
+    one = random_gmm_map(n_obs=1, K=3, d=2, M=3, seed=24, kappa=0.7, block_split=True)
+    text = mixed_map_to_json(one)
+    assert json.loads(text)["family"] == "semidiscrete"
+    one2 = mixed_map_from_json(text)
+    assert_same_mixed_map(one, one2)
+    np.testing.assert_array_equal(sample(one, 50, seed=3).data, sample(one2, 50, seed=3).data)
 
 
 def orthant_offsets_one_row(pi, iters=60):
