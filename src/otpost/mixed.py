@@ -23,6 +23,7 @@ from .potential import (
     SingularJacobian,
     _check_declared,
     _finite,
+    _finite_scalar,
     activation_deriv,
     chol_inverse,
     logdet_spd,
@@ -127,9 +128,10 @@ def _winner_logdet(map, s, win):
     win (B, n_obs) at pre-activations s (B, L, M), with the Cholesky mask and
     factors of ``logdet_spd``. The label block contributes no volume."""
     bank = map.bank
-    alpha_w = bank.alpha[win]  # (B, n_obs, M, p)
-    dphi_w = activation_deriv(bank.activation, s[np.arange(win.shape[0])[:, None], win])
-    Hsum = np.einsum("bnm,bnmp,bnmq->bnpq", dphi_w, alpha_w, alpha_w).sum(axis=1)
+    B, p = win.shape[0], bank.p
+    alpha_w = bank.alpha[win].reshape(B, -1, p)  # (B, n_obs M, p)
+    dphi_w = activation_deriv(bank.activation, s[np.arange(B)[:, None], win]).reshape(B, -1)
+    Hsum = (dphi_w[..., None] * alpha_w).transpose(0, 2, 1) @ alpha_w
     logdetH, ok, chol = logdet_spd(Hsum)
     return map.phi_dim * np.log(map.kappa) + logdetH, ok, chol
 
@@ -304,32 +306,32 @@ def mixed_objective_grad(map, target: MixedTarget, X, gamma: float):
     logdet, ok, chol = _winner_logdet(map, s, win)
     zeta = map.kappa * st.grads(X2, s)[idx, win].sum(axis=1)
     logpi = target.log_unnorm(labels, zeta)
-    # Phat per observation, chunked over samples to bound memory
+    # Phat per observation, chunked over samples to bound memory. The label
+    # axis leads, in contiguous copies, so that the softmax reduces over
+    # whole slabs: a reduction over a short trailing axis is several times
+    # slower.
     obs = np.arange(n)[None, :]
+    X1k, valsk = (np.ascontiguousarray(a.transpose(2, 0, 1)) for a in (X1, vals))  # (K, B, n)
     gval = np.zeros((B, n, K))
     log_phat = np.zeros(B)
     chunk = max(1, int(2**22 // max(1, B * n * K)))
     for lo in range(0, B, chunk):
         hi = min(B, lo + chunk)
-        C = X1[:, None, :, :] + vals[None, lo:hi, :, :]  # (j, b', n, K)
-        W = softmax(gamma * C, axis=3)
+        W = softmax(gamma * (X1k[:, :, None] + valsk[:, None, lo:hi]), axis=0)  # (K, j, b', n)
         lb = labels[lo:hi]
-        Wt = W[:, np.arange(hi - lo)[:, None], obs, lb]  # (j, b', n)
+        Wt = np.take_along_axis(W, lb[None, None], axis=0)[0]  # (j, b', n)
         S1 = Wt.sum(axis=0)
         log_phat[lo:hi] = np.sum(np.log(S1 / B), axis=1)
-        cross = np.einsum("jbi,jbik->bik", Wt, W)
-        g = -gamma * cross / S1[..., None]
+        g = (-gamma * np.einsum("kjbi,jbi->kbi", W, Wt) / S1).transpose(1, 2, 0)  # (b', n, K)
         g[np.arange(hi - lo)[:, None], obs, lb] += gamma
         gval[lo:hi] = g
     objs = np.where(ok, log_phat - logpi - logdet, np.inf)
     # the winners carry the density and log-determinant cotangents
-    onehot = np.zeros((B, st.L))
-    onehot[idx, win] = 1.0
     G = -map.kappa * np.asarray(target.score(labels, zeta), dtype=float)
-    per = st.param_vjp(
-        X2[ok], gval.reshape(B, -1)[ok], onehot[ok], G[ok], -chol_inverse(chol[ok]), s[ok]
+    grad = st.param_vjp(
+        X2[ok], gval.reshape(B, -1)[ok], labels[ok], G[ok], -chol_inverse(chol[ok]), s[ok]
     )
-    return per.mean(axis=0), objs, int(np.sum(~ok))
+    return grad / np.sum(ok), objs, int(np.sum(~ok))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +377,7 @@ def mixed_map_from_json(text: str):
     family = doc.get("family")
     if family not in ("semidiscrete", "gmm_meanfield"):
         raise ValueError(f"unknown mixed map family {family!r}")
-    kappa = float(_finite(doc["kappa"], "kappa"))
+    kappa = _finite_scalar(doc["kappa"], "kappa")
     phis = doc["phis"]
     if family == "semidiscrete":
         emb = doc["embedding"]

@@ -134,6 +134,15 @@ def activation_antiderivative(activation: Activation, u):
 PUSH_CHUNK_ELEMENTS = 2**16
 
 
+def _sum_rows(a):
+    """Sum of a over its first axis, one row after another. numpy reduces the
+    outer axis of a wider array in this order, but sums a single column
+    pairwise; the running sum keeps the order there too."""
+    if a.shape[0] > 1 and a.size == a.shape[0]:
+        return np.add.accumulate(a, axis=0)[-1]
+    return a.sum(axis=0)
+
+
 @dataclass(frozen=True, eq=False)
 class PotentialBank:
     """L local potentials of M convex units each, as stacked arrays.
@@ -210,16 +219,38 @@ class PotentialBank:
         return np.einsum("blm,lmp,lmq->blpq", dphi, self.alpha, self.alpha)
 
     def param_vjp(self, X, gval, weight, G, A=None, s=None):
-        """Per-sample parameter gradients of
+        """Batch sum (n_params,) of the parameter gradients of
         ``sum_l gval[b,l] u_l(x_b) + weight[b,l] (<G_b, grad u_l(x_b)>
-        + tr(A_b hess u_l(x_b)))``, with A_b symmetric (the trace term is
-        dropped when A is None). gval, weight (B, L); G (B, p); A (B, p, p).
-        Returns (B, n_params) in the canonical flattening order; this is the
-        only code that lays out parameter gradients.
+        + tr(A_b hess u_l(x_b)))`` over the rows b of X, with A_b symmetric
+        (the trace term is dropped when A is None). gval (B, L); G (B, p);
+        A (B, p, p). Returns the canonical flattening order; this is the only
+        code that lays out parameter gradients.
+
+        ``weight`` is either dense, (B, L) floats, or the winners of a mixed
+        map: (B, n) integer indices, as ``push_rows`` returns them, of the
+        one local with weight one in each of n consecutive groups of L / n
+        locals (the others weigh zero). A dense weight's fields are summed
+        over the batch row after row, the bits of the column sums of the
+        per-sample gradients; the winners form computes the score and trace
+        terms for the winners only and sums in another order.
         """
-        B, L, M, p = X.shape[0], self.L, self.M, self.p
+        L, M, p = self.L, self.M, self.p
         s = self.pre(X) if s is None else s
         phi = activation_value(self.activation, s)
+        if np.issubdtype(weight.dtype, np.integer):
+            g_alpha, g_beta, g_w = self._winner_vjp(X, gval, weight, G, A, s, phi)
+        else:
+            g_alpha, g_beta, g_w = self._dense_vjp(X, gval, weight, G, A, s, phi)
+        # beta and v enter through their per-local sums: one value per local
+        blocks = np.concatenate([
+            g_alpha, np.broadcast_to(g_beta[:, None, :], (L, M, p)), g_w[..., None],
+            np.broadcast_to(_sum_rows(gval)[:, None, None], (L, M, 1)),
+        ], axis=2)
+        return blocks.ravel()
+
+    def _dense_vjp(self, X, gval, weight, G, A, s, phi):
+        """param_vjp's alpha (L, M, p), beta (L, p) and w (L, M) sums for a
+        dense weight."""
         dphi = activation_deriv(self.activation, s)
         galpha = np.einsum("bp,lmp->blm", G, self.alpha)
         # multiplier of x in d/dalpha, and d/dw itself
@@ -233,15 +264,39 @@ class PotentialBank:
         grad_alpha += (weight[:, :, None] * phi)[..., None] * G[:, None, None, :]
         if A is not None:
             grad_alpha += 2.0 * (weight[:, :, None] * dphi)[..., None] * Aalpha
-        # beta and v enter through their per-local sums: one value per local
-        grad_beta = (
-            gval[..., None, None] * X[:, None, None, :] + weight[..., None, None] * G[:, None, None, :]
-        )
-        blocks = np.concatenate([
-            grad_alpha, np.broadcast_to(grad_beta, (B, L, M, p)), coef[..., None],
-            np.broadcast_to(gval[:, :, None, None], (B, L, M, 1)),
-        ], axis=3)
-        return blocks.reshape(B, -1)
+        grad_beta = gval[..., None] * X[:, None, :] + weight[..., None] * G[:, None, :]
+        return _sum_rows(grad_alpha), _sum_rows(grad_beta), _sum_rows(coef)
+
+    def _winner_vjp(self, X, gval, win, G, A, s, phi):
+        """param_vjp's alpha, beta and w sums for winners win (B, n): the
+        value term over all locals is one matrix product, the score and trace
+        terms are formed for the winners only and summed into their locals
+        by one one-hot product per group."""
+        B, n = win.shape
+        L, M, p = self.L, self.M, self.p
+        K = L // n
+        loc = K * np.arange(n)[:, None] + win.T  # (n, B) winning locals
+        rows = np.arange(B)
+        s_w, phi_w = s[rows, loc], phi[rows, loc]  # (n, B, M)
+        alpha_w = self.alpha[loc]  # (n, B, M, p)
+        dphi_w = activation_deriv(self.activation, s_w)
+        # multiplier of x in d/dalpha, and d/dw itself, for the winners
+        coef = dphi_w * (alpha_w @ G[:, :, None])[..., 0]
+        grad_alpha = phi_w[..., None] * G[:, None, :]
+        if A is not None:
+            Aalpha = alpha_w @ A  # A symmetric
+            coef += activation_second_deriv(self.activation, s_w) * np.sum(alpha_w * Aalpha, axis=3)
+            grad_alpha += 2.0 * dphi_w[..., None] * Aalpha
+        grad_alpha += coef[..., None] * X[:, None, :]
+        onehot = (win.T[:, None, :] == np.arange(K)[:, None]).astype(float)  # (n, K, B)
+        g_alpha = (onehot @ grad_alpha.reshape(n, B, M * p)).reshape(L, M, p)
+        g_w = (onehot @ coef).reshape(L, M)
+        g_beta = (onehot @ G).reshape(L, p)
+        gphi = (gval[:, :, None] * phi).reshape(B, L * M)
+        g_alpha += (gphi.T @ X).reshape(L, M, p)
+        g_w += gphi.sum(axis=0).reshape(L, M)
+        g_beta += gval.T @ X
+        return g_alpha, g_beta, g_w
 
     def flat(self) -> np.ndarray:
         """Parameters in the canonical flattening order (module docstring)."""
@@ -479,8 +534,8 @@ def _smooth_pass(map: MaxPotentialMap, X: np.ndarray, second_order: bool = True)
 
 
 def _param_grads(map: MaxPotentialMap, G, X, s, omega, grads, hess=None, chol=None):
-    """Per-sample parameter gradients of <G_b, T(x_b)> from the pass of X,
-    plus those of log det(chol_b chol_b^T) if the factors chol are given."""
+    """Batch sum of the parameter gradients of <G_b, T(x_b)> from the pass of
+    X, plus those of log det(chol_b chol_b^T) if the factors chol are given."""
     gamma = map.gamma_sharp
     # each local's score: G . grad u_l (+ tr(A hess u_l) with A the inverse)
     score = np.einsum("bp,blp->bl", G, grads)
@@ -508,10 +563,11 @@ def smooth_batch(map: MaxPotentialMap, X: np.ndarray):
 
 
 def smooth_param_grads(map: MaxPotentialMap, X: np.ndarray, G: np.ndarray, with_logdet_of=None):
-    """Per-sample parameter gradients (B, n_params) of <G_b, T(x_b)> for a
-    batch X (B, p) and a cotangent G (B, p) on the value, plus those of
+    """Batch sum (n_params,) of the parameter gradients of <G_b, T(x_b)> for
+    a batch X (B, p) and a cotangent G (B, p) on the value, plus those of
     log det M_b if ``with_logdet_of`` holds positive-definite M (B, p, p),
-    such as J. Training reuses its own pass instead."""
+    such as J: ``PotentialBank.param_vjp``'s dense form, summed row after
+    row. Training reuses its own pass instead."""
     if with_logdet_of is None:
         return _param_grads(map, G, X, *_smooth_pass(map, X, second_order=False)[:3])
     s, omega, grads, _, hess, _ = _smooth_pass(map, X)
@@ -530,9 +586,9 @@ def param_grad_detail(map: MaxPotentialMap, target, X: np.ndarray):
     if not np.any(ok):
         raise SingularJacobian(X[0])
     G = np.asarray(target.score(value[ok]), dtype=float)
-    per_sample = _param_grads(map, G, *(a[ok] for a in (X, s, omega, grads, hess, chol)))
+    grad = _param_grads(map, G, *(a[ok] for a in (X, s, omega, grads, hess, chol)))
     objs = np.where(ok, target.log_unnorm(value) + logdet, -np.inf)
-    return per_sample.mean(axis=0), objs, int(np.sum(~ok))
+    return grad / np.sum(ok), objs, int(np.sum(~ok))
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +630,15 @@ def _finite(value, field):
     return arr
 
 
+def _finite_scalar(value, field):
+    """``value`` as one finite float; an array, or what ``_finite`` rejects,
+    raises ValueError naming ``field``."""
+    arr = _finite(value, field)
+    if arr.ndim:
+        raise ValueError(f"{field} must be one number, not an array of shape {arr.shape}")
+    return float(arr)
+
+
 def _check_declared(doc, field, actual):
     """A size that a map file declares must be the one its arrays give."""
     if field in doc and doc[field] != actual:
@@ -601,4 +666,4 @@ def map_from_json(text: str):
     bank = PotentialBank.from_docs(doc["locals"])
     _check_declared(doc, "p", bank.p)
     _check_declared(doc, "L", bank.L)
-    return MaxPotentialMap(bank, gamma_sharp=float(_finite(doc["gamma_sharp"], "gamma_sharp")))
+    return MaxPotentialMap(bank, gamma_sharp=_finite_scalar(doc["gamma_sharp"], "gamma_sharp"))

@@ -313,7 +313,7 @@ def init_by_sinkhorn(map, target_samples, config: TrainConfig):
         if epsilon is None:
             epsilon = 0.05 * median_sq_dist(A, Y)
         _, gA = _divergence_grad(A, Y, epsilon, 5000, 1e-4)
-        theta = theta + opt.step(_param_grads(cur, gA, X, *first).sum(axis=0))
+        theta = theta + opt.step(_param_grads(cur, gA, X, *first))
         cur = map.with_flat_params(theta)
     return cur
 

@@ -807,6 +807,11 @@ _UNIT = ("units", 1)
     ("maxpot", _set(("locals", 1) + _UNIT + ("alpha",), [0.5]), "alpha is not a number or a rectangular"),
     ("maxpot", _set(("gamma_sharp",), "sharp"), "gamma_sharp is not a number or a rectangular"),
     ("affine", _set(("chol_factor", 1), [0.3]), "chol_factor is not a number or a rectangular"),
+    ("maxpot", _set(("gamma_sharp",), [10.0]), "gamma_sharp must be one number, not an array"),
+    ("maxpot", _set(("gamma_sharp",), [10.0, 2.0]), "gamma_sharp must be one number, not an array"),
+    ("semidiscrete", _set(("kappa",), [10.0]), "kappa must be one number, not an array"),
+    ("semidiscrete", _set(("kappa",), [10.0, 2.0]), "kappa must be one number, not an array"),
+    ("gmm_meanfield", _set(("kappa",), [10.0]), "kappa must be one number, not an array"),
 ])
 def test_sample_map_with_non_finite_or_misdeclared_field_exits_2(tmp_path, capsys, family, corrupt, message):
     doc = _affine_doc() if family == "affine" else _data_doc(family)

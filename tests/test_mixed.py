@@ -356,6 +356,59 @@ def test_mixed_objective_grad_skips_rank_deficient_hessians():
     assert np.array_equal(raised, objs == np.inf)
 
 
+def dense_mixed_objective_grad(map, target, X, gamma):
+    """mixed_objective_grad with a dense one-hot weight on all L locals and
+    the winning Hessians summed by a three-operand einsum: the formula that
+    the winners-only gradient replaced, with Phat in one block."""
+    B = X.shape[0]
+    st, n, K, r = map.bank, map.n_obs, map.K, map.label_dim
+    X1, X2 = X[:, :r].reshape(B, n, K), X[:, r:]
+    s = st.pre(X2)
+    vals = st.values(X2, s).reshape(B, n, K)
+    labels = np.argmax(X1 + vals, axis=2)
+    idx = np.arange(B)[:, None]
+    win = K * np.arange(n) + labels
+    dphi_w = potential.activation_deriv(st.activation, s[idx, win])
+    Hsum = np.einsum("bnm,bnmp,bnmq->bnpq", dphi_w, st.alpha[win], st.alpha[win]).sum(axis=1)
+    logdetH, ok, chol = potential.logdet_spd(Hsum)
+    zeta = map.kappa * st.grads(X2, s)[idx, win].sum(axis=1)
+    W = potential.softmax(gamma * (X1[:, None] + vals[None]), axis=3)  # (j, b, n, K)
+    Wt = np.take_along_axis(W, labels[None, :, :, None], axis=3)[..., 0]
+    S1 = Wt.sum(axis=0)
+    gval = -gamma * np.einsum("jbi,jbik->bik", Wt, W) / S1[..., None]
+    gval[idx, np.arange(n), labels] += gamma
+    logdet = map.phi_dim * np.log(map.kappa) + logdetH
+    objs = np.sum(np.log(S1 / B), axis=1) - target.log_unnorm(labels, zeta) - logdet
+    onehot = np.zeros((B, st.L))
+    onehot[idx, win] = 1.0
+    G = -map.kappa * target.score(labels, zeta)
+    grad = st.param_vjp(
+        X2[ok], gval.reshape(B, -1)[ok], onehot[ok], G[ok], -potential.chol_inverse(chol[ok]), s[ok]
+    )
+    return grad / np.sum(ok), np.where(ok, objs, np.inf), int(np.sum(~ok))
+
+
+@pytest.mark.parametrize("case", ["gmm", "semidiscrete"])
+def test_winners_only_gradient_matches_the_dense_one_hot_formula(case):
+    if case == "gmm":
+        mp = random_gmm_map(300, 3, 2, 4, 1)
+        data = 3.0 * stream(30, 0).standard_normal((300, 2))
+        tgt = gmm_mixed_target(data, GmmPrior(m0=np.zeros(2), prior_sd=10.0), K=3)
+    else:
+        mp = random_semidiscrete_map(K=3, p=2, M=4, seed=21, kappa=0.7)
+        tgt = discrete_mixture_target(
+            weights=[0.2, 0.3, 0.5], means=stream(22, 0).standard_normal((3, 2)), sds=np.ones((3, 2)),
+        )
+    X = stream(31, 0).standard_normal((32, reference_dim(mp)))
+    grad, objs, skipped = mixed_objective_grad(mp, tgt, X, gamma=10.0)
+    want_grad, want_objs, want_skipped = dense_mixed_objective_grad(mp, tgt, X, 10.0)
+    assert skipped == want_skipped
+    np.testing.assert_array_equal(objs == np.inf, want_objs == np.inf)
+    fin = want_objs < np.inf
+    np.testing.assert_allclose(objs[fin], want_objs[fin], rtol=1e-10)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-10, atol=1e-10 * np.max(np.abs(want_grad)))
+
+
 def test_train_mixed_improves_discrete_mixture_fit():
     mp = random_semidiscrete_map(K=2, p=1, M=3, seed=20)
     tgt = discrete_mixture_target(

@@ -387,10 +387,11 @@ def test_param_grad_matches_finite_difference(p, L, M, seed, n_far):
 # one forward pass and one factorization per training step
 
 
-def two_pass_gradients(mp, X, G, J=None):
-    """Per-sample parameter gradients of <G, T(x)> (+ log det J) from a
+def two_pass_gradients(mp, X, G, J=None, vjp=PotentialBank.param_vjp):
+    """Batch-summed parameter gradients of <G, T(x)> (+ log det J) from a
     second forward pass, with J^-1 from a second factorization: the
-    composition that param_grad_detail and init_by_sinkhorn replaced."""
+    composition that param_grad_detail and init_by_sinkhorn replaced. With
+    ``vjp=per_sample_vjp_layout`` they are the per-sample rows instead."""
     bank, gamma = mp.bank, mp.gamma_sharp
     s = bank.pre(X)
     omega = potential.softmax(gamma * bank.values(X, s), axis=1)
@@ -401,14 +402,14 @@ def two_pass_gradients(mp, X, G, J=None):
         A = np.einsum("bqp,bqr->bpr", inv_chol, inv_chol)
         score = score + np.einsum("bpq,blqp->bl", A, bank.hessians(X, s))
     delta = score - np.einsum("bl,bl->b", omega, score)[:, None]
-    return bank.param_vjp(X, gamma * omega * delta, omega, G, A, s)
+    return vjp(bank, X, gamma * omega * delta, omega, G, A, s)
 
 
 def two_pass_detail(mp, target, X):
     value, J, logdet, ok = smooth_batch(mp, X)
     Jv = J[ok]
     G = target.score(value[ok])
-    grad = two_pass_gradients(mp, X[ok], G, Jv).mean(axis=0)
+    grad = two_pass_gradients(mp, X[ok], G, Jv) / np.sum(ok)
     objs = np.where(ok, target.log_unnorm(value) + logdet, -np.inf)
     return grad, objs, int(np.sum(~ok)), (X[ok], G, Jv)
 
@@ -419,7 +420,7 @@ def assert_detail_bit_identical(mp, target, X):
     assert np.array_equal(grad, want_grad)
     assert np.array_equal(objs, want_objs)
     assert skipped == want_skipped
-    # the public per-sample gradients give the same bits too
+    # the public batch-summed gradients give the same bits too
     got = potential.smooth_param_grads(mp, Xv, G, with_logdet_of=Jv)
     assert np.array_equal(got, two_pass_gradients(mp, Xv, G, Jv))
     return skipped
@@ -449,11 +450,70 @@ def test_sinkhorn_init_step_is_bit_identical():
     X = stream(cfg.seed, 7, 0).standard_normal((64, 5))
     A = smooth_batch(mp, X)[0]
     _, gA = trainer._divergence_grad(A, Y, 0.05 * trainer.median_sq_dist(A, Y), 5000, 1e-4)
-    grad = two_pass_gradients(mp, X, gA).sum(axis=0)
+    grad = two_pass_gradients(mp, X, gA)
     opt = trainer.Adam(grad.size, lr=10 * cfg.learning_rate)
     want = mp.flat_params() + opt.step(grad)
     assert np.array_equal(trainer.init_by_sinkhorn(mp, Y, cfg).flat_params(), want)
     assert np.array_equal(potential.smooth_param_grads(mp, X, gA), two_pass_gradients(mp, X, gA))
+
+
+def per_sample_vjp_layout(bank, X, gval, weight, G, A=None, s=None):
+    """param_vjp's dense form as per-sample rows (B, n_params): the fields of
+    each row concatenated in the canonical order, the layout that training
+    averaged with ``.mean(axis=0)`` before param_vjp summed the batch."""
+    B, L, M, p = X.shape[0], bank.L, bank.M, bank.p
+    s = bank.pre(X) if s is None else s
+    phi = activation_value(bank.activation, s)
+    dphi = activation_deriv(bank.activation, s)
+    galpha = np.einsum("bp,lmp->blm", G, bank.alpha)
+    coef = gval[:, :, None] * phi + weight[:, :, None] * dphi * galpha
+    if A is not None:
+        Aalpha = np.einsum("bpq,lmq->blmp", A, bank.alpha)
+        quad = np.einsum("lmp,blmp->blm", bank.alpha, Aalpha)
+        coef = coef + weight[:, :, None] * activation_second_deriv(bank.activation, s) * quad
+    grad_alpha = coef[..., None] * X[:, None, None, :]
+    grad_alpha += (weight[:, :, None] * phi)[..., None] * G[:, None, None, :]
+    if A is not None:
+        grad_alpha += 2.0 * (weight[:, :, None] * dphi)[..., None] * Aalpha
+    grad_beta = (
+        gval[..., None, None] * X[:, None, None, :] + weight[..., None, None] * G[:, None, None, :]
+    )
+    blocks = np.concatenate([
+        grad_alpha, np.broadcast_to(grad_beta, (B, L, M, p)), coef[..., None],
+        np.broadcast_to(gval[:, :, None, None], (B, L, M, 1)),
+    ], axis=3)
+    return blocks.reshape(B, -1)
+
+
+@pytest.mark.parametrize(
+    "shape, gamma, seed", [((3, 16, 5), 10.0, 0)] + [((3, 2, 4), 200.0, s) for s in range(3)]
+)
+def test_param_vjp_batch_sum_keeps_the_bits_of_the_per_sample_mean(shape, gamma, seed):
+    # the mixture shape, and maps whose J a factorization rejects on some rows
+    mp = random_maxpot_map(*shape, seed).with_gamma(gamma)
+    p = shape[2]
+    tgt = gaussian_mixture(mixture_spec(5, 3, 11)) if p == 5 else std_normal(p)
+    X = stream(21, seed).standard_normal((256 if p == 5 else 64, p))
+    value, J, _, ok = smooth_batch(mp, X)
+    assert (np.sum(~ok) == 0) == (gamma == 10.0)
+    G = tgt.score(value[ok])
+    want = two_pass_gradients(mp, X[ok], G, J[ok], vjp=per_sample_vjp_layout).mean(axis=0)
+    assert np.array_equal(param_grad_detail(mp, tgt, X)[0], want)
+    assert np.array_equal(two_pass_gradients(mp, X[ok], G, J[ok]) / np.sum(ok), want)
+
+
+def test_param_vjp_batch_sum_keeps_the_bits_of_a_one_column_field():
+    # L = 1 makes the v field one column per row, which numpy's plain sum
+    # adds pairwise; the per-sample mean added it row after row
+    bank = random_maxpot_map(1, 32, 10, 0).bank
+    rg = stream(23, 0)
+    B = 256
+    X, G = rg.standard_normal((B, 10)), rg.standard_normal((B, 10))
+    gval, weight = rg.standard_normal((B, 1)), rg.uniform(0.5, 1.0, (B, 1))
+    R = rg.standard_normal((B, 10, 10))
+    A = R + R.transpose(0, 2, 1)
+    want = per_sample_vjp_layout(bank, X, gval, weight, G, A).mean(axis=0)
+    assert np.array_equal(bank.param_vjp(X, gval, weight, G, A) / B, want)
 
 
 def test_a_training_step_runs_one_pass_and_one_factorization(monkeypatch):
@@ -502,8 +562,9 @@ def test_param_vjp_matches_finite_difference(L, M, p, seed, activation, one_hot,
     X = rg.standard_normal((B, p))
     gval = rg.standard_normal((B, L))
     G = rg.standard_normal((B, p))
-    if one_hot:  # the mixed maps' winners
-        weight = np.eye(L)[rg.integers(0, L, B)]
+    if one_hot:  # the mixed maps' winners, one group of L locals
+        win = rg.integers(0, L, B)
+        weight = np.eye(L)[win]
     else:  # the max-potential map's softmax weights
         weight = potential.softmax(rg.standard_normal((B, L)), axis=1)
     A = None
@@ -516,7 +577,15 @@ def test_param_vjp_matches_finite_difference(L, M, p, seed, activation, one_hot,
         assume(np.min(np.abs(s)) > 1e-3)
     if activation == Activation.SQNL:
         assume(np.min(np.abs(np.abs(s) - 2.0)) > 1e-3)
-    got = bank.param_vjp(X, gval, weight, G, A)
+
+    def per_sample(w):  # param_vjp sums over the batch: one call per row
+        return np.stack([
+            bank.param_vjp(X[b : b + 1], gval[b : b + 1], w[b : b + 1], G[b : b + 1],
+                           None if A is None else A[b : b + 1])
+            for b in range(B)
+        ])
+
+    got = per_sample(weight)
     theta = bank.flat()
     assert got.shape == (B, theta.size)
     h = 1e-6
@@ -529,6 +598,8 @@ def test_param_vjp_matches_finite_difference(L, M, p, seed, activation, one_hot,
             - vjp_objective(bank.with_flat(theta - e), X, gval, weight, G, A)
         ) / (2 * h)
     np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-6)
+    if one_hot:  # the winners form gives the dense one-hot gradients
+        np.testing.assert_allclose(per_sample(win[:, None]), got, rtol=1e-12, atol=1e-12)
 
 
 def test_flat_params_round_trip():
