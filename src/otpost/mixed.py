@@ -136,6 +136,14 @@ def _winner_logdet(map, s, win):
     return map.phi_dim * np.log(map.kappa) + logdetH, ok, chol
 
 
+def _check_labels(labels, n, K, name="tau"):
+    """labels ((n,), or an int when n = 1) as integers; ValueError names them."""
+    t = np.asarray(labels).reshape(-1)
+    if t.size != n or t.dtype.kind not in "iuf" or not np.all((t == np.round(t)) & (t >= 0) & (t < K)):
+        raise ValueError(f"{name} must hold {n} integer labels in 0..{K - 1}")
+    return t.astype(int)
+
+
 def mixed_logdet(map, tau, x2) -> float:
     """log |det| of the continuous block of the mixed map Jacobian at labels
     tau ((n_obs,), or an int for one observation).
@@ -144,31 +152,41 @@ def mixed_logdet(map, tau, x2) -> float:
     where a Cholesky factorization rejects the winning Hessian sum.
     """
     x2 = np.asarray(x2, dtype=float)
-    win = map.K * np.arange(map.n_obs) + np.asarray(tau, dtype=int).reshape(1, map.n_obs)
-    logdet, ok, _ = _winner_logdet(map, map.bank.pre(x2[None, :]), win)
+    win = map.K * np.arange(map.n_obs) + _check_labels(tau, map.n_obs, map.K)
+    logdet, ok, _ = _winner_logdet(map, map.bank.pre(x2[None, :]), win[None])
     if not ok[0]:
         raise SingularJacobian(x2)
     return float(logdet[0])
 
 
+def _label_weights(gamma, scores, vals, labels):
+    """P(tau | x2)'s softmax estimate with the label axis first: the weights
+    W (K, J, b, n) of inner scores (K, J, n) plus values (K, b, n), the labels'
+    (b, n) weights Wt (J, b, n) and their sums S1 (b, n) over the J inner
+    draws. Pass contiguous arrays: the softmax then reduces over whole slabs."""
+    W = softmax(gamma * (scores[:, :, None] + vals[:, None]), axis=0)
+    Wt = np.take_along_axis(W, labels[None, None], axis=0)[0]
+    return W, Wt, Wt.sum(axis=0)
+
+
 def conditional_prob_estimate(map, tau, x2, n_inner: int, seed: int) -> float:
     """Monte Carlo softmax estimate of P(tau | x2) under the reference.
 
-    Averages, over reference label draws z, the ``CONDITIONAL_GAMMA``-softmax
-    weight of each observation's label among its scores
-    ``z[i, k] + phi_{ik}(x2)``, and multiplies the observations'
-    averages. Smooth in the map parameters; exact (=1) when there is a
-    single category.
+    Averages, over n_inner reference label draws z, the
+    ``CONDITIONAL_GAMMA``-softmax weight of each observation's label among
+    its scores ``z[i, k] + phi_{ik}(x2)``, and multiplies the observations'
+    averages: the one-point case of ``_label_weights``, the estimator that
+    training's ``mixed_objective_grad`` differentiates. Smooth in the map
+    parameters; exact (=1) when there is a single category.
     """
     if n_inner < 1:
         raise ValueError("n_inner must be >= 1")
     x2 = np.asarray(x2, dtype=float)
-    labels = np.asarray(tau, dtype=int).reshape(map.n_obs)
-    vals = map.bank.values(x2[None, :])[0].reshape(map.n_obs, map.K)
+    labels = _check_labels(tau, map.n_obs, map.K)
+    vals = map.bank.values(x2[None, :]).reshape(map.n_obs, map.K).T[:, None]  # (K, 1, n)
     Z = stream(seed, 5).standard_normal((n_inner, map.n_obs, map.K))
-    W = softmax(CONDITIONAL_GAMMA * (Z + vals), axis=2)
-    per_obs = W[:, np.arange(map.n_obs), labels].mean(axis=0)
-    return float(np.prod(per_obs))
+    _, _, S1 = _label_weights(CONDITIONAL_GAMMA, np.ascontiguousarray(Z.transpose(2, 0, 1)), vals, labels[None])
+    return float(np.prod(S1[0] / n_inner))
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +214,9 @@ def gmm_posterior_logdensity(labels, means_flat, data, prior: GmmPrior, K: int |
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = data.shape
-    labels = np.asarray(labels, dtype=int)
     means = np.asarray(means_flat, dtype=float).reshape(-1, d)
     K = means.shape[0] if K is None else K
-    if labels.size != n or np.any(labels < 0) or np.any(labels >= K):
-        raise ValueError("labels out of range")
+    labels = _check_labels(labels, n, K, "labels")
     lp = -0.5 * np.sum((means - prior.m0) ** 2) / prior.prior_sd**2
     resid = data - means[labels]
     ll = -0.5 * np.sum(resid * resid) / prior.obs_sd**2
@@ -317,10 +333,8 @@ def mixed_objective_grad(map, target: MixedTarget, X, gamma: float):
     chunk = max(1, int(2**22 // max(1, B * n * K)))
     for lo in range(0, B, chunk):
         hi = min(B, lo + chunk)
-        W = softmax(gamma * (X1k[:, :, None] + valsk[:, None, lo:hi]), axis=0)  # (K, j, b', n)
         lb = labels[lo:hi]
-        Wt = np.take_along_axis(W, lb[None, None], axis=0)[0]  # (j, b', n)
-        S1 = Wt.sum(axis=0)
+        W, Wt, S1 = _label_weights(gamma, X1k, valsk[:, lo:hi], lb)  # (K, j, b', n), (j, b', n), (b', n)
         log_phat[lo:hi] = np.sum(np.log(S1 / B), axis=1)
         g = (-gamma * np.einsum("kjbi,jbi->kbi", W, Wt) / S1).transpose(1, 2, 0)  # (b', n, K)
         g[np.arange(hi - lo)[:, None], obs, lb] += gamma

@@ -12,6 +12,7 @@ from hypothesis import strategies as hst
 from otpost import potential, trainer
 from otpost.inference import sample
 from otpost.mixed import (
+    CONDITIONAL_GAMMA,
     GmmPrior,
     MixedMap,
     conditional_prob_estimate,
@@ -206,6 +207,57 @@ def test_conditional_prob_single_category_is_one():
     assert val == 1.0
 
 
+def trailing_axis_estimate(Z, vals, labels, gamma):
+    """P-hat (b,) by the formula that reduced over a trailing label axis: for
+    inner draws Z (J, n, K), values vals (b, n, K) and labels (b, n), the mean
+    over the draws of each label's softmax weight, multiplied over the n
+    observations."""
+    W = potential.softmax(gamma * (Z[:, None] + vals[None]), axis=3)  # (J, b, n, K)
+    Wt = np.take_along_axis(W, labels[None, :, :, None], axis=3)[..., 0]
+    return np.prod(Wt.mean(axis=0), axis=1)
+
+
+@pytest.mark.parametrize("n_obs", [1, 2, 50])
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+@given(n_inner=hst.sampled_from([1, 2, 7, 64, 200]), seed=hst.integers(0, 2**16))
+def test_conditional_prob_matches_the_trailing_axis_formula(n_obs, K, n_inner, seed):
+    mp = random_gmm_map(n_obs, K, 2, 3, seed)
+    rg = stream(seed, 7)
+    x2 = rg.standard_normal(mp.phi_dim)
+    tau, _ = gmm_push(mp, rg.standard_normal(mp.label_dim), x2)
+    vals = mp.bank.values(x2[None]).reshape(1, n_obs, K)
+    Z = stream(seed + 1, 5).standard_normal((n_inner, n_obs, K))
+    want = trailing_axis_estimate(Z, vals, np.reshape(tau, (1, n_obs)), CONDITIONAL_GAMMA)[0]
+    got = conditional_prob_estimate(mp, tau, x2, n_inner, seed=seed + 1)
+    assert want > 0
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("case", ["gmm", "semidiscrete"])
+def test_training_objectives_use_the_trailing_axis_estimate(case):
+    # the batch's own x1 draws are P-hat's inner draws
+    if case == "gmm":
+        mp = random_gmm_map(20, 3, 2, 4, 2)
+        data = 3.0 * stream(32, 0).standard_normal((20, 2))
+        tgt = gmm_mixed_target(data, GmmPrior(m0=np.zeros(2), prior_sd=10.0), K=3)
+    else:
+        mp = random_semidiscrete_map(K=3, p=2, M=4, seed=21, kappa=0.7)
+        tgt = discrete_mixture_target(
+            weights=[0.2, 0.3, 0.5], means=stream(22, 0).standard_normal((3, 2)), sds=np.ones((3, 2)),
+        )
+    B, n, K = 16, mp.n_obs, mp.K
+    X = stream(33, 0).standard_normal((B, reference_dim(mp)))
+    X1, X2 = X[:, : n * K].reshape(B, n, K), X[:, n * K :]
+    labels, zeta = gmm_push(mp, X1.reshape(B, -1), X2)
+    vals = mp.bank.values(X2).reshape(B, n, K)
+    phat = trailing_axis_estimate(X1, vals, labels, 10.0)
+    logdet = np.array([mixed_logdet(mp, labels[b], X2[b]) for b in range(B)])
+    want = np.log(phat) - tgt.log_unnorm(labels, zeta) - logdet
+    _, objs, skipped = mixed_objective_grad(mp, tgt, X, gamma=10.0)
+    assert skipped == 0
+    np.testing.assert_allclose(objs, want, rtol=1e-12, atol=1e-12)
+
+
 def test_conditional_prob_tracks_offset():
     # large value offset on category 1 pushes its probability toward 1
     mp = random_semidiscrete_map(K=2, p=2, M=2, seed=7)
@@ -214,6 +266,31 @@ def test_conditional_prob_tracks_offset():
     mp = replace(mp, bank=replace(mp.bank, v=v))
     val = conditional_prob_estimate(mp, 1, np.array([0.0, 0.0]), n_inner=256, seed=4)
     assert val > 0.95
+
+
+@pytest.mark.parametrize("tau", [[0, 0, -1], [3, 0, 0], [0, 0, 3], [0, 0.5, 1], [0, 0], [0, 0, 0, 0],
+                                 [0, 0, np.nan]],
+                         ids=["negative", "K", "K-last", "non-integer", "short", "long", "nan"])
+def test_labels_out_of_range_raise_value_error_naming_tau(tau):
+    # unchecked, [0, 0, -1] reads observation 1's label-2 local, [3, 0, 0]
+    # observation 1's label-0 local twice, and a label of K raises IndexError
+    mp = random_gmm_map(3, 3, 2, 4, 0)
+    x2 = np.zeros(mp.phi_dim)
+    with pytest.raises(ValueError, match="tau"):
+        mixed_logdet(mp, tau, x2)
+    with pytest.raises(ValueError, match="tau"):
+        conditional_prob_estimate(mp, tau, x2, n_inner=16, seed=0)
+    # the posterior density shares the check; unchecked, it read 0.5 as 0
+    with pytest.raises(ValueError, match="labels"):
+        gmm_posterior_logdensity(tau, np.zeros(6), np.zeros((3, 2)), GmmPrior(m0=np.zeros(2), prior_sd=1.0), K=3)
+
+
+def test_labels_given_as_whole_floats_are_read_as_integers():
+    mp = random_gmm_map(3, 3, 2, 4, 0)
+    x2 = np.zeros(mp.phi_dim)
+    assert mixed_logdet(mp, [0.0, 1.0, 2.0], x2) == mixed_logdet(mp, [0, 1, 2], x2)
+    assert (conditional_prob_estimate(mp, [2.0, 1.0, 0.0], x2, 16, 0)
+            == conditional_prob_estimate(mp, [2, 1, 0], x2, 16, 0))
 
 
 # ---------------------------------------------------------------------------
