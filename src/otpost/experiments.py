@@ -67,11 +67,12 @@ def point_in_polygon(points, poly) -> np.ndarray:
 
 
 def marginal_ci(draws, level: float = 0.95):
-    """Equal-tailed interval per column of a draw matrix."""
+    """Equal-tailed interval per column of a draw matrix. Each column's
+    quantiles are taken on that column alone (the bits of ``axis=0``), so the
+    peak is one column's copy, not the whole cloud's."""
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
     alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(draws, [alpha, 1.0 - alpha], axis=0)
-    return list(zip(lo.tolist(), hi.tolist()))
+    return [tuple(np.quantile(col, [alpha, 1.0 - alpha]).tolist()) for col in draws.T]
 
 
 def random_maxpot_map(L, M, p, seed, activation=Activation.TANH, centers=None,

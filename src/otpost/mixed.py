@@ -24,6 +24,8 @@ from .potential import (
     _check_declared,
     _finite,
     _finite_scalar,
+    _json_doc,
+    _whole,
     activation_deriv,
     chol_inverse,
     logdet_spd,
@@ -355,29 +357,28 @@ def mixed_objective_grad(map, target: MixedTarget, X, gamma: float):
 def mixed_map_to_json(map) -> str:
     """Versioned JSON document for mixed maps (same format version as
     potential.map_to_json): the ``semidiscrete`` layout for one
-    observation, ``gmm_meanfield`` for more."""
+    observation, ``gmm_meanfield`` for more. A non-finite parameter raises
+    ValueError naming its field."""
     if not isinstance(map, MixedMap):
         raise TypeError(f"not a mixed map: {type(map).__name__}")
-    docs = map.bank.to_docs()
+    kappa = _finite_scalar(map.kappa, "kappa")
     if map.n_obs == 1:
         doc = {
             "version": MAP_FORMAT_VERSION,
             "family": "semidiscrete",
-            "kappa": map.kappa,
+            "kappa": kappa,
             "embedding": {"kind": "one_hot", "vectors": np.eye(map.K).tolist()},
-            "phis": docs,
         }
-    else:
-        doc = {
-            "version": MAP_FORMAT_VERSION,
-            "family": "gmm_meanfield",
-            "n_obs": map.n_obs,
-            "K": map.K,
-            "d": map.phi_dim // map.K,
-            "kappa": map.kappa,
-            "phis": [docs[i * map.K : (i + 1) * map.K] for i in range(map.n_obs)],
-        }
-    return json.dumps(doc, indent=2)
+        return _json_doc(doc, "phis", map.bank.locals_json())
+    doc = {
+        "version": MAP_FORMAT_VERSION,
+        "family": "gmm_meanfield",
+        "n_obs": map.n_obs,
+        "K": map.K,
+        "d": map.phi_dim // map.K,
+        "kappa": kappa,
+    }
+    return _json_doc(doc, "phis", map.bank.locals_json(groups=map.n_obs))
 
 
 def mixed_map_from_json(text: str):
@@ -400,14 +401,14 @@ def mixed_map_from_json(text: str):
             raise ValueError(f"embedding must be one_hot: the identity with one row "
                              f"per potential ({len(phis)})")
         return MixedMap(n_obs=1, K=len(phis), bank=PotentialBank.from_docs(phis), kappa=kappa)
+    n_obs, K, d = (_whole(doc[key], key) for key in ("n_obs", "K", "d"))
     _check_declared(doc, "n_obs", len(phis))
     for row in phis:
         _check_declared(doc, "K", len(row))
     bank = PotentialBank.from_docs([lp for row in phis for lp in row])
-    K, d = int(doc["K"]), int(doc["d"])
     if bank.p != K * d:
-        raise ValueError(f"d is declared {doc['d']!r}, but the potentials act on R^{bank.p}, not R^(K d)")
-    return MixedMap(n_obs=int(doc["n_obs"]), K=K, bank=bank, kappa=kappa)
+        raise ValueError(f"d is declared {d}, but the potentials act on R^{bank.p}, not R^(K d)")
+    return MixedMap(n_obs=n_obs, K=K, bank=bank, kappa=kappa)
 
 
 # ---------------------------------------------------------------------------

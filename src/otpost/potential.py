@@ -313,24 +313,33 @@ class PotentialBank:
             w=blocks[..., 2 * p], v=blocks[..., 2 * p + 1], activation=self.activation,
         )
 
-    def to_docs(self) -> list[dict]:
-        """One ``{"units": [...]}`` JSON object per local potential."""
-        act = self.activation.value
-        alpha, beta = self.alpha.tolist(), self.beta.tolist()
-        w, v = self.w.tolist(), self.v.tolist()
-        return [
-            {
-                "units": [
-                    {"activation": act, "alpha": a, "beta": b, "w": wm, "v": vm}
-                    for a, b, wm, vm in zip(alpha[k], beta[k], w[k], v[k])
-                ]
-            }
-            for k in range(self.L)
-        ]
+    def locals_json(self, groups: int = 1) -> str:
+        """The text that ``json.dumps(doc, indent=2)`` writes for a top-level
+        field holding the local potentials: a list of one ``{"units": [...]}``
+        object per local, each unit ``{"activation", "alpha", "beta", "w",
+        "v"}``, or with ``groups`` > 1 a list of ``groups`` such lists of
+        L // groups locals. One template of ``%r`` slots, filled in the
+        canonical flattening order, writes every float as its
+        ``float.__repr__``, which is what json writes for a finite float; a
+        non-finite entry raises ValueError naming its field."""
+        for name in ("alpha", "beta", "w", "v"):
+            _finite(getattr(self, name), name)
+        d = 2 if groups == 1 else 3  # the nesting depth of one local
+        vec = _json_block(["%r"] * self.p, d + 3)
+        unit = _json_block([f'"activation": "{self.activation.value}"', f'"alpha": {vec}',
+                            f'"beta": {vec}', '"w": %r', '"v": %r'], d + 2, "{}")
+        local = _json_block([f'"units": {_json_block([unit] * self.M, d + 1)}'], d, "{}")
+        if groups == 1:
+            template = _json_block([local] * self.L, 1)
+        else:
+            template = _json_block([_json_block([local] * (self.L // groups), 2)] * groups, 1)
+        return template % tuple(self.flat().tolist())
 
     @classmethod
     def from_docs(cls, docs) -> "PotentialBank":
-        """Inverse of to_docs; every unit must name the same activation."""
+        """The bank of a map file's list of ``{"units": [...]}`` local
+        potentials (the layout ``locals_json`` writes); every unit must name
+        the same activation."""
         units = [lp["units"] for lp in docs]
         acts = {u["activation"] for row in units for u in row}
         if len(acts) != 1:
@@ -596,14 +605,16 @@ def param_grad_detail(map: MaxPotentialMap, target, X: np.ndarray):
 
 
 def map_to_json(map) -> str:
-    """Versioned JSON document; floats survive round-trip bit-faithfully."""
+    """Versioned JSON document; floats survive round-trip bit-faithfully. A
+    non-finite parameter, which JSON cannot hold, raises ValueError naming
+    its field."""
     if isinstance(map, AffineMap):
         doc = {
             "version": MAP_FORMAT_VERSION,
             "family": "affine",
             "p": map.dim,
-            "m": map.m.tolist(),
-            "chol_factor": map.chol_factor.tolist(),
+            "m": _finite(map.m, "m").tolist(),
+            "chol_factor": _finite(map.chol_factor, "chol_factor").tolist(),
             "n_scale": map.n_scale,
         }
         return json.dumps(doc, indent=2)
@@ -612,10 +623,24 @@ def map_to_json(map) -> str:
         "family": "maxpot",
         "p": map.dim,
         "L": map.n_locals,
-        "gamma_sharp": map.gamma_sharp,
-        "locals": map.bank.to_docs(),
+        "gamma_sharp": _finite_scalar(map.gamma_sharp, "gamma_sharp"),
     }
-    return json.dumps(doc, indent=2)
+    return _json_doc(doc, "locals", map.bank.locals_json())
+
+
+def _json_block(items, depth, brackets="[]"):
+    """The text ``json.dumps(..., indent=2)`` writes, at nesting depth
+    ``depth``, for a list of items that are JSON text already, or with
+    brackets "{}" for an object of '"key": value' items."""
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _json_doc(doc, key, text):
+    """``json.dumps({**doc, key: value}, indent=2)``, given the text of the
+    last field's value (``PotentialBank.locals_json``): the small fields go
+    through json.dumps, and the document is joined once."""
+    return "".join((json.dumps(doc, indent=2)[:-2], f',\n  "{key}": ', text, "\n}"))
 
 
 def _finite(value, field):
@@ -639,9 +664,21 @@ def _finite_scalar(value, field):
     return float(arr)
 
 
+def _whole(value, field):
+    """``value`` as an int: a JSON number without a fraction, such as 3 or
+    3.0. A boolean, a string, a fraction or a non-finite number raises
+    ValueError naming ``field``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be a whole number, got {value!r}")
+    return value
+
+
 def _check_declared(doc, field, actual):
-    """A size that a map file declares must be the one its arrays give."""
-    if field in doc and doc[field] != actual:
+    """A size that a map file declares must be a whole number, the one its
+    arrays give."""
+    if field in doc and _whole(doc[field], field) != actual:
         raise ValueError(f"{field} is declared {doc[field]!r}, but the arrays give {actual}")
 
 
@@ -657,7 +694,7 @@ def map_from_json(text: str):
         mp = AffineMap(
             m=_finite(doc["m"], "m"),
             chol_factor=_finite(doc["chol_factor"], "chol_factor"),
-            n_scale=int(doc["n_scale"]),
+            n_scale=_whole(doc["n_scale"], "n_scale"),
         )
         _check_declared(doc, "p", mp.dim)
         return mp

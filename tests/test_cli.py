@@ -812,6 +812,14 @@ _UNIT = ("units", 1)
     ("semidiscrete", _set(("kappa",), [10.0]), "kappa must be one number, not an array"),
     ("semidiscrete", _set(("kappa",), [10.0, 2.0]), "kappa must be one number, not an array"),
     ("gmm_meanfield", _set(("kappa",), [10.0]), "kappa must be one number, not an array"),
+    ("affine", _set(("n_scale",), 2.5), "n_scale must be a whole number, got 2.5"),
+    ("affine", _set(("n_scale",), True), "n_scale must be a whole number, got True"),
+    ("affine", _set(("n_scale",), float("inf")), "n_scale must be a whole number, got inf"),
+    ("affine", _set(("n_scale",), "x"), "n_scale must be a whole number, got 'x'"),
+    ("gmm_meanfield", _set(("d",), 1.5), "d must be a whole number, got 1.5"),
+    ("gmm_meanfield", _set(("n_obs",), 2.5), "n_obs must be a whole number, got 2.5"),
+    ("gmm_meanfield", _set(("K",), True), "K must be a whole number, got True"),
+    ("maxpot", _set(("L",), 3.5), "L must be a whole number, got 3.5"),
 ])
 def test_sample_map_with_non_finite_or_misdeclared_field_exits_2(tmp_path, capsys, family, corrupt, message):
     doc = _affine_doc() if family == "affine" else _data_doc(family)
@@ -847,6 +855,19 @@ def test_sample_valid_affine_map_file_loads(tmp_path):
     out = os.path.join(tmp_path, "s.csv")
     assert main(["sample", "--map", path, "--n", "5", "--out", out]) == EXIT_OK
     assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
+
+
+def test_sample_reads_a_whole_float_n_scale_as_the_integer(tmp_path):
+    # JSON numbers 3 and 3.0 are the same whole number, as in a config file
+    draws = []
+    for n_scale in (3, 3.0):
+        doc = dict(_affine_doc(), n_scale=n_scale)
+        path = write_config(tmp_path, doc, name=f"map{n_scale}.json")
+        out = os.path.join(tmp_path, f"s{n_scale}.csv")
+        assert main(["sample", "--map", path, "--n", "5", "--seed", "2", "--out", out]) == EXIT_OK
+        with open(out) as fh:
+            draws.append(fh.read())
+    assert draws[0] == draws[1]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

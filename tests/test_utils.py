@@ -91,6 +91,19 @@ def test_marginal_ci_equals_two_quantile_calls_bit_for_bit(level):
     assert marginal_ci(draws, level) == list(zip(lo.tolist(), hi.tolist()))
 
 
+@pytest.mark.parametrize("shape", [(1, 3), (1, 1), (2001, 1), (2001, 4), (999, 10)])
+def test_marginal_ci_equals_the_axis_0_quantiles_bit_for_bit(shape):
+    draws = stream(82, 0).standard_normal(shape)
+    alpha = (1.0 - 0.95) / 2.0
+    lo, hi = np.quantile(draws, [alpha, 1.0 - alpha], axis=0)
+    assert marginal_ci(draws) == list(zip(lo.tolist(), hi.tolist()))
+
+
+def test_marginal_ci_copies_one_column_at_a_time():
+    draws = stream(83, 0).standard_normal((100_000, 10))  # 8 MB, 0.8 MB a column
+    assert peak_traced_bytes(marginal_ci, draws) <= draws.nbytes // 4
+
+
 def test_svg_overlay_valid_xml_and_counts(tmp_path):
     rg = stream(80, 0)
     pts = rg.standard_normal((40, 2))
